@@ -205,7 +205,7 @@ impl HostAgent {
 mod tests {
     use super::*;
     use crate::monitor::TcpMonitor;
-    use crate::pathdisc::OracleTracer;
+    use crate::pathdisc::{FlowIndex, FlowTableTracer};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use vigil_fabric::faults::LinkFaults;
@@ -236,7 +236,8 @@ mod tests {
     fn reports_cover_all_admitted_events() {
         let (topo, out) = epoch();
         let monitor = TcpMonitor::new();
-        let mut tracer = OracleTracer::from_flows(&out.flows);
+        let index = FlowIndex::from_flows(&out.flows);
+        let mut tracer = FlowTableTracer::new(&out.flows, &index);
         let mut total_reports = 0;
         for h in topo.hosts() {
             let mut agent = HostAgent::new(h, HostPacer::with_budget(1000));
@@ -258,7 +259,8 @@ mod tests {
     fn budget_caps_reports() {
         let (topo, out) = epoch();
         let monitor = TcpMonitor::new();
-        let mut tracer = OracleTracer::from_flows(&out.flows);
+        let index = FlowIndex::from_flows(&out.flows);
+        let mut tracer = FlowTableTracer::new(&out.flows, &index);
         // Find a host with ≥ 2 events.
         let busy = topo
             .hosts()
@@ -283,7 +285,8 @@ mod tests {
         // duplicate events, where both must burn/skip identically.
         let (topo, out) = epoch();
         let monitor = TcpMonitor::new();
-        let mut tracer = OracleTracer::from_flows(&out.flows);
+        let index = FlowIndex::from_flows(&out.flows);
+        let mut tracer = FlowTableTracer::new(&out.flows, &index);
         for h in topo.hosts() {
             let events: Vec<_> = monitor.events_for_host(h, &out.flows).collect();
             // Tight budget so both agents hit the exhausted path too.
@@ -342,7 +345,8 @@ mod tests {
     fn duplicate_events_traced_once() {
         let (topo, out) = epoch();
         let monitor = TcpMonitor::new();
-        let mut tracer = OracleTracer::from_flows(&out.flows);
+        let index = FlowIndex::from_flows(&out.flows);
+        let mut tracer = FlowTableTracer::new(&out.flows, &index);
         let h = topo
             .hosts()
             .find(|h| monitor.events_for_host(*h, &out.flows).count() >= 1)

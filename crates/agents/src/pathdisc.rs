@@ -8,7 +8,7 @@
 //!    fleet never pushes a switch past `Tmax` ICMP replies per second;
 //! 3. queries the **SLB** for the VIP→DIP mapping when the flow targets a
 //!    VIP (skipping discovery on query failure or SNAT, §4.2/§9.1);
-//! 4. discovers the path: in flow-mode via the [`OracleTracer`] (the
+//! 4. discovers the path: in flow-mode via the [`FlowTableTracer`] (the
 //!    paper's §6 simulator votes on actual paths), or on the packet-level
 //!    emulator via the [`ProbeTracer`], which sends the real 15-probe
 //!    train and reconstructs the path from the ICMP replies — including
@@ -35,7 +35,7 @@ pub struct DiscoveredPath {
 
 impl DiscoveredPath {
     /// The oracle discovery of a flow's recorded path — exactly what
-    /// [`OracleTracer`]/[`FlowTableTracer`] return for that flow, usable
+    /// [`FlowTableTracer`] returns for that flow, usable
     /// when the record is in hand (the streaming pipeline, where the
     /// chunk being simulated is the only place the record lives).
     pub fn of_flow_path(p: &Path) -> Self {
@@ -53,37 +53,6 @@ pub trait Tracer {
     fn trace(&mut self, src: HostId, tuple: &FiveTuple) -> Option<DiscoveredPath>;
 }
 
-/// Flow-mode tracer: returns the flow's actual path from the simulator's
-/// records — exactly what the paper's MATLAB evaluation does, and the
-/// right model when probes share the data path (same five-tuple, stable
-/// routing).
-#[derive(Debug, Clone, Default)]
-pub struct OracleTracer {
-    paths: HashMap<FiveTuple, std::sync::Arc<Path>>,
-}
-
-impl OracleTracer {
-    /// Builds the oracle from the epoch's flow records.
-    pub fn from_flows<'a>(
-        flows: impl IntoIterator<Item = &'a vigil_fabric::flowsim::FlowRecord>,
-    ) -> Self {
-        let paths = flows
-            .into_iter()
-            .map(|f| (f.tuple, f.path.clone()))
-            .collect();
-        Self { paths }
-    }
-}
-
-impl Tracer for OracleTracer {
-    fn trace(&mut self, _src: HostId, tuple: &FiveTuple) -> Option<DiscoveredPath> {
-        self.paths.get(tuple).map(|p| DiscoveredPath {
-            links: p.links.clone(),
-            complete: path_is_complete(p),
-        })
-    }
-}
-
 /// The oracle's completeness rule: the path reaches a host and has at
 /// least the two host links (src→ToR, ToR→dst).
 fn path_is_complete(p: &Path) -> bool {
@@ -92,10 +61,7 @@ fn path_is_complete(p: &Path) -> bool {
 
 /// A tuple → flow-record index over one epoch's flow table, built once
 /// and shared by every consumer (the tracer, the evaluator, the §7
-/// experiment binaries). Replaces the per-epoch `HashMap<FiveTuple,
-/// Path>` rebuild the [`OracleTracer`] used to pay — the map now stores
-/// a 4-byte index instead of a cloned path, and it is built exactly once
-/// per epoch instead of once per consumer.
+/// experiment binaries). It stores a 4-byte index per flow, not a path.
 #[derive(Debug, Clone, Default)]
 pub struct FlowIndex {
     map: HashMap<FiveTuple, u32>,
@@ -128,11 +94,11 @@ impl FlowIndex {
     }
 }
 
-/// Flow-mode tracer backed by the epoch's flow table plus the shared
-/// [`FlowIndex`] — the same oracle semantics as [`OracleTracer`] without
-/// cloning every path into a private map. Constructing one is free, so
-/// each worker thread of the sharded runner wraps the same table and
-/// index.
+/// Flow-mode tracer: returns the flow's actual path from the simulator's
+/// records — exactly what the paper's MATLAB evaluation does, and the
+/// right model when probes share the data path (same five-tuple, stable
+/// routing). A view over the epoch's flow table through the shared
+/// [`FlowIndex`]; constructing one is free.
 #[derive(Debug, Clone)]
 pub struct FlowTableTracer<'a> {
     flows: &'a [vigil_fabric::flowsim::FlowRecord],
@@ -304,7 +270,7 @@ mod tests {
     }
 
     #[test]
-    fn oracle_tracer_returns_actual_paths() {
+    fn flow_table_tracer_returns_actual_paths() {
         let topo = topo();
         let faults = LinkFaults::new(topo.num_links());
         let mut rng = ChaCha8Rng::seed_from_u64(1);
@@ -313,7 +279,8 @@ mod tests {
             ..TrafficSpec::paper_default()
         };
         let out = simulate_epoch(&topo, &faults, &traffic, &SimConfig::default(), &mut rng);
-        let mut tracer = OracleTracer::from_flows(&out.flows);
+        let index = FlowIndex::from_flows(&out.flows);
+        let mut tracer = FlowTableTracer::new(&out.flows, &index);
         for f in &out.flows {
             let d = tracer.trace(f.src, &f.tuple).unwrap();
             assert_eq!(d.links, f.path.links);

@@ -32,10 +32,12 @@
 //! collector) produces a final report **byte-identical** to
 //! `vigil-sim stream --json --trials 1` on the same preset. Both sides
 //! derive topology, faults, and per-epoch RNG streams from the same
-//! seeds; evidence admission (pacer, trace cache, SLB gate, byzantine
-//! emission) runs on the agent exactly as in-process; the collector
-//! re-simulates each epoch locally only for ground truth and retained
-//! flow records (it never dispatches evidence of its own).
+//! seeds, and both run the crate's one epoch driver — the agent over its
+//! host slice with a frame-writing sink, so evidence admission (pacer,
+//! trace cache, SLB gate, byzantine emission) is exactly the in-process
+//! one; the collector over no hosts, re-simulating each epoch only for
+//! ground truth and retained flow records while its sink drains the
+//! network hub into the ledger.
 //!
 //! Failover: with a snapshot path the collector serializes
 //! `{ledger, epoch reports}` at every window close (atomic
@@ -59,16 +61,15 @@
 //! absorbs them exactly-once and the final tally stays byte-identical
 //! to the chaos-free run whenever the chaos plan is loss-recoverable.
 
+use crate::driver::{EpochDriver, EvidenceSink, LedgerSink};
 use crate::evaluate::{evaluate_epoch, EpochReport};
 use crate::experiment::{ExperimentConfig, ExperimentReport, TrialAccumulator};
-use crate::run::{
-    assemble_epoch, fresh_ledger, RunConfig, LEDGER_HEALTH_ALPHA, LEDGER_RING_WINDOWS,
-};
-use crate::stream::EvidenceKey;
+use crate::run::{fresh_ledger, RunConfig, LEDGER_HEALTH_ALPHA, LEDGER_RING_WINDOWS};
+use crate::stream::{RetainPolicy, StreamTuning};
 use crate::sweep::epoch_rng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
@@ -77,13 +78,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use vigil_agents::{
-    event_channel, event_channel_bounded, AdversaryModel, AgentEvent, DiscoveredPath,
-    EventCollector, EventSender, FlowIndex, HostAgent, RetransmissionEvent, TraceReport,
-};
-use vigil_analysis::{FlowEvidence, LedgerSnapshot, VoteLedger};
+use vigil_agents::{event_channel_bounded, AgentEvent, EventCollector, EventSender};
+use vigil_analysis::{LedgerSnapshot, VoteLedger};
 use vigil_fabric::faults::LinkFaults;
-use vigil_fabric::flowsim::{EpochOutcome, EpochScratch, EpochStream, FlowBatch, FlowRecord};
+use vigil_fabric::flowsim::EpochScratch;
 use vigil_topology::ClosTopology;
 use vigil_wire::chaos::{ChaosSchedule, ChaosWriter};
 use vigil_wire::{FrameReader, FrameWriter, WireFrame, HELLO_RESILIENT, WIRE_VERSION};
@@ -288,49 +286,43 @@ pub struct AgentStats {
     pub flushes: u64,
 }
 
-/// Routes one eventful record through its (lazily created) host agent —
-/// the same admission pipeline (pacer, per-epoch trace cache) the
-/// in-process stream driver runs.
-fn dispatch(
-    agents: &mut [Option<HostAgent>],
-    topo: &ClosTopology,
-    config: &RunConfig,
-    event: RetransmissionEvent,
-    path: DiscoveredPath,
-    hub: &EventSender,
-) {
-    let slot = &mut agents[event.host.0 as usize];
-    let agent = slot.get_or_insert_with(|| HostAgent::new(event.host, config.pacer.pacer(topo)));
-    agent.on_retransmission(&event, path, hub);
+/// A wire agent's evidence sink: every staged event becomes one frame,
+/// in emission order. A raised kill flag aborts with `Interrupted` at the
+/// next drain (the soak harness's simulated agent crash between chunks).
+struct WireSink<'a, W: Write> {
+    writer: &'a mut FrameWriter<W>,
+    stats: &'a mut AgentStats,
+    kill: Option<&'a AtomicBool>,
 }
 
-/// Drains the staging hub onto the wire, in emission order.
-fn flush_staging<W: Write>(
-    writer: &mut FrameWriter<W>,
-    staging: &EventCollector,
-    inbox: &mut Vec<AgentEvent>,
-    stats: &mut AgentStats,
-) -> io::Result<()> {
-    inbox.clear();
-    staging.drain_into(inbox);
-    for event in inbox.drain(..) {
-        if matches!(event, AgentEvent::Evidence { .. }) {
-            stats.evidence_sent += 1;
+impl<W: Write> EvidenceSink for WireSink<'_, W> {
+    fn drain(&mut self, events: &mut Vec<AgentEvent>) -> io::Result<()> {
+        if self.kill.is_some_and(|k| k.load(Ordering::Relaxed)) {
+            return Err(io::Error::new(
+                io::ErrorKind::Interrupted,
+                "agent killed by churn schedule",
+            ));
         }
-        writer.write_frame(&WireFrame::Event(event))?;
-        stats.events_sent += 1;
+        for event in events.drain(..) {
+            if matches!(event, AgentEvent::Evidence { .. }) {
+                self.stats.evidence_sent += 1;
+            }
+            self.writer.write_frame(&WireFrame::Event(event))?;
+            self.stats.events_sent += 1;
+        }
+        Ok(())
     }
-    Ok(())
 }
 
-/// Everything an agent derives once from the experiment config: the
-/// deterministic world both ends of the wire agree on.
+/// Everything an agent derives once from the experiment config — the
+/// deterministic world both ends of the wire agree on — plus the epoch
+/// driver over its host slice.
 struct AgentWorld {
     trial_seed: u64,
     topo: ClosTopology,
     faults: LinkFaults,
-    adversary: Option<AdversaryModel>,
-    deferred_gate: bool,
+    driver: EpochDriver,
+    scratch: EpochScratch,
 }
 
 impl AgentWorld {
@@ -349,167 +341,63 @@ impl AgentWorld {
         if spec.chunk_flows == 0 || spec.epochs == 0 {
             return Err(invalid("agent needs chunk_flows >= 1 and epochs >= 1"));
         }
-        let run_cfg = &config.run;
-        let adversary = run_cfg
-            .byzantine
-            .enabled()
-            .then(|| AdversaryModel::new(run_cfg.byzantine, topo.num_links()));
+        // The staging hub is unbounded: an agent never sheds its own
+        // evidence; loss happens (and is counted) only at the collector.
+        let driver = EpochDriver::new(
+            &topo,
+            &config.run,
+            spec.hosts.clone(),
+            None,
+            spec.chunk_flows,
+            None,
+        );
         Ok(Self {
             trial_seed,
             topo,
             faults,
-            adversary,
-            deferred_gate: run_cfg.slb.enabled(),
+            driver,
+            scratch: EpochScratch::new(),
         })
     }
-}
 
-/// Reusable per-epoch scratch buffers (allocation-flat across epochs).
-struct EmitBuffers {
-    chunk: Vec<FlowRecord>,
-    batch: FlowBatch,
-    inbox: Vec<AgentEvent>,
-    pending: Vec<(RetransmissionEvent, DiscoveredPath)>,
-}
-
-impl EmitBuffers {
-    fn new() -> Self {
-        Self {
-            chunk: Vec::new(),
-            batch: FlowBatch::new(),
-            inbox: Vec::new(),
-            pending: Vec::new(),
+    /// Simulates epoch `epoch` of trial 0 and writes the host slice's
+    /// events onto `writer`, up to (but not including) the `EpochDone`
+    /// barrier. Returns the number of event frames the epoch emitted —
+    /// deterministic per epoch, so a byte-identical replay re-emits
+    /// exactly this many.
+    fn emit_epoch<W: Write>(
+        &mut self,
+        config: &RunConfig,
+        epoch: usize,
+        last_epoch: usize,
+        writer: &mut FrameWriter<W>,
+        stats: &mut AgentStats,
+        kill: Option<&AtomicBool>,
+    ) -> io::Result<u64> {
+        let before = stats.events_sent;
+        let mut sink = WireSink {
+            writer,
+            stats,
+            kill,
+        };
+        let mut erng = epoch_rng(self.trial_seed, epoch);
+        self.driver.run_epoch(
+            &self.topo,
+            config,
+            &self.faults,
+            epoch as u64,
+            &mut erng,
+            &mut self.scratch,
+            &mut sink,
+        )?;
+        if epoch == last_epoch {
+            // Shutdown drains ride inside the final window (before its
+            // barrier) so the agent never writes after the collector may
+            // have torn the run down.
+            self.driver.shutdown(&mut sink)?;
         }
+        Ok(sink.stats.events_sent - before)
     }
-}
-
-/// Simulates one epoch of `spec.hosts`' share of trial 0 and writes its
-/// events onto `writer`, up to (but not including) the `EpochDone`
-/// barrier. Returns the number of event frames the epoch emitted —
-/// deterministic per epoch, so a byte-identical replay re-emits exactly
-/// this many. A kill flag aborts with `Interrupted` between chunks (the
-/// soak harness's simulated agent crash).
-#[allow(clippy::too_many_arguments)]
-fn emit_epoch<W: Write>(
-    world: &AgentWorld,
-    run_cfg: &RunConfig,
-    spec: &AgentSpec,
-    epoch: usize,
-    last_epoch: usize,
-    agents: &mut [Option<HostAgent>],
-    scratch: &mut EpochScratch,
-    bufs: &mut EmitBuffers,
-    hub_tx: &EventSender,
-    hub_rx: &EventCollector,
-    writer: &mut FrameWriter<W>,
-    stats: &mut AgentStats,
-    kill: Option<&AtomicBool>,
-) -> io::Result<u64> {
-    let before = stats.events_sent;
-    let killed = || -> io::Result<()> {
-        if kill.is_some_and(|k| k.load(Ordering::Relaxed)) {
-            return Err(io::Error::new(
-                io::ErrorKind::Interrupted,
-                "agent killed by churn schedule",
-            ));
-        }
-        Ok(())
-    };
-    let mut erng = epoch_rng(world.trial_seed, epoch);
-    let mut stream = EpochStream::open(
-        &world.topo,
-        &world.faults,
-        &run_cfg.traffic,
-        &run_cfg.sim,
-        &mut erng,
-        scratch,
-    );
-    if let Some(adv) = &world.adversary {
-        // Adversarial path: emission decisions inspect whole records.
-        loop {
-            killed()?;
-            bufs.chunk.clear();
-            if stream.next_chunk(spec.chunk_flows, &mut bufs.chunk) == 0 {
-                break;
-            }
-            for rec in bufs.chunk.drain(..) {
-                let Some((event, path)) = adv.emission(&rec) else {
-                    continue;
-                };
-                if !spec.hosts.contains(&event.host.0) {
-                    continue;
-                }
-                if world.deferred_gate {
-                    bufs.pending.push((event, path));
-                } else {
-                    dispatch(agents, &world.topo, run_cfg, event, path, hub_tx);
-                }
-            }
-            flush_staging(writer, hub_rx, &mut bufs.inbox, stats)?;
-        }
-    } else {
-        // Honest path: scan the dense columns, materialize eventful
-        // rows only (§4.2: established and retransmitting).
-        loop {
-            killed()?;
-            bufs.batch.clear();
-            if stream.next_batch(spec.chunk_flows, &mut bufs.batch) == 0 {
-                break;
-            }
-            for i in 0..bufs.batch.len() {
-                if !(bufs.batch.established()[i] && bufs.batch.retransmissions()[i] > 0) {
-                    continue;
-                }
-                let rec = stream.materialize(&bufs.batch, i);
-                if !spec.hosts.contains(&rec.src.0) {
-                    continue;
-                }
-                let event = RetransmissionEvent {
-                    host: rec.src,
-                    tuple: rec.tuple,
-                    retransmissions: rec.retransmissions,
-                };
-                let path = DiscoveredPath::of_flow_path(&rec.path);
-                if world.deferred_gate {
-                    bufs.pending.push((event, path));
-                } else {
-                    dispatch(agents, &world.topo, run_cfg, event, path, hub_tx);
-                }
-            }
-            flush_staging(writer, hub_rx, &mut bufs.inbox, stats)?;
-        }
-    }
-    let _ground_truth = stream.finish();
-    if world.deferred_gate {
-        // Same draw position as every other runner: the gate salt is
-        // the first draw after the simulation stream.
-        let salt = erng.gen::<u64>();
-        for (event, path) in bufs.pending.drain(..) {
-            if !run_cfg.slb.skips(&event.tuple, salt) {
-                dispatch(agents, &world.topo, run_cfg, event, path, hub_tx);
-            }
-        }
-        flush_staging(writer, hub_rx, &mut bufs.inbox, stats)?;
-    }
-    // Roll live agents into the next epoch (budget refresh, cache
-    // clear), announced on the wire like any other event.
-    for h in spec.hosts.clone() {
-        if let Some(agent) = agents[h as usize].as_mut() {
-            agent.epoch_tick(epoch as u64 + 1, hub_tx);
-        }
-    }
-    if epoch == last_epoch {
-        // Shutdown drains ride inside the final window (before its
-        // barrier) so the agent never writes after the collector may
-        // have torn the run down.
-        for h in spec.hosts.clone() {
-            if let Some(agent) = agents[h as usize].as_mut() {
-                agent.drain(hub_tx);
-            }
-        }
-    }
-    flush_staging(writer, hub_rx, &mut bufs.inbox, stats)?;
-    Ok(stats.events_sent - before)
 }
 
 /// Runs one plain (fire-and-forget) agent process: simulates
@@ -520,9 +408,8 @@ fn emit_epoch<W: Write>(
 /// on the hub — same pacer admissions, same SLB gate salt, same
 /// byzantine emissions, same per-host sequence numbers.
 ///
-/// The staging hub is unbounded: an agent never sheds its own evidence;
-/// loss happens (and is counted) only at the collector. This driver
-/// never reads the socket — the collector's acks accumulate unread —
+/// The agent never sheds its own evidence; loss happens (and is counted)
+/// only at the collector. This driver never reads the socket — the collector's acks accumulate unread —
 /// and dies on the first write failure; [`run_agent_resilient`] is the
 /// self-healing variant.
 pub fn run_agent<W: Write>(
@@ -530,9 +417,7 @@ pub fn run_agent<W: Write>(
     spec: &AgentSpec,
     sink: W,
 ) -> io::Result<AgentStats> {
-    let world = AgentWorld::build(config, spec)?;
-    let run_cfg = &config.run;
-    let (hub_tx, hub_rx) = event_channel();
+    let mut world = AgentWorld::build(config, spec)?;
     let mut writer = FrameWriter::new(BufWriter::new(sink));
     writer.write_frame(&WireFrame::Hello {
         version: WIRE_VERSION,
@@ -544,24 +429,14 @@ pub fn run_agent<W: Write>(
         host_hi: spec.hosts.end,
     })?;
 
-    let mut agents: Vec<Option<HostAgent>> = (0..world.topo.num_hosts()).map(|_| None).collect();
-    let mut scratch = EpochScratch::new();
-    let mut bufs = EmitBuffers::new();
     let mut stats = AgentStats::default();
     let last_epoch = spec.start_epoch + spec.epochs - 1;
 
     for epoch in spec.start_epoch..=last_epoch {
-        let events = emit_epoch(
-            &world,
-            run_cfg,
-            spec,
+        let events = world.emit_epoch(
+            &config.run,
             epoch,
             last_epoch,
-            &mut agents,
-            &mut scratch,
-            &mut bufs,
-            &hub_tx,
-            &hub_rx,
             &mut writer,
             &mut stats,
             None,
@@ -680,13 +555,8 @@ struct ResilientState<'a> {
     chaos: Option<&'a ChaosSchedule>,
     kill: Option<&'a AtomicBool>,
     world: AgentWorld,
-    agents: Vec<Option<HostAgent>>,
-    scratch: EpochScratch,
-    bufs: EmitBuffers,
-    hub_tx: EventSender,
-    hub_rx: EventCollector,
     stats: AgentStats,
-    /// The epoch whose *start* state `agents` + `snapshot` represent.
+    /// The epoch whose *start* state the agents + `snapshot` represent.
     epoch: usize,
     /// Per-host sequence counters at the start of `epoch` — rewinding
     /// to them makes a replay byte-identical.
@@ -705,13 +575,13 @@ impl ResilientState<'_> {
     fn capture_snapshot(&mut self) {
         self.snapshot.clear();
         for h in self.spec.hosts.clone() {
-            if let Some(agent) = self.agents[h as usize].as_ref() {
+            if let Some(agent) = self.world.driver.agent_slot(h) {
                 self.snapshot.push((h, agent.events_emitted()));
             }
         }
     }
 
-    /// Brings `agents` to the start-of-`target` state. Fast path: we
+    /// Brings the agents to the start-of-`target` state. Fast path: we
     /// are already positioned there (or part-way through it) — rewind
     /// the sequence counters and reset the pacers. Slow path (a fresh
     /// process resuming mid-run, or a collector restarted from an older
@@ -723,42 +593,28 @@ impl ResilientState<'_> {
         if target == self.epoch {
             let snap: HashMap<u32, u64> = self.snapshot.iter().copied().collect();
             for h in self.spec.hosts.clone() {
+                let slot = self.world.driver.agent_slot(h);
                 match snap.get(&h) {
                     Some(&seq) => {
-                        let agent = self.agents[h as usize]
-                            .as_mut()
-                            .expect("snapshotted agent exists");
+                        let agent = slot.as_mut().expect("snapshotted agent exists");
                         agent.rewind(seq);
                         agent.next_epoch();
                     }
-                    None => self.agents[h as usize] = None,
+                    None => *slot = None,
                 }
             }
             return Ok(());
         }
         for h in self.spec.hosts.clone() {
-            self.agents[h as usize] = None;
+            *self.world.driver.agent_slot(h) = None;
         }
-        let run_cfg = &self.config.run;
+        let config = self.config;
         let mut sink = FrameWriter::new(io::sink());
         let mut ghost = AgentStats::default();
         let last = self.last_epoch();
         for e in self.spec.start_epoch..target {
-            emit_epoch(
-                &self.world,
-                run_cfg,
-                self.spec,
-                e,
-                last,
-                &mut self.agents,
-                &mut self.scratch,
-                &mut self.bufs,
-                &self.hub_tx,
-                &self.hub_rx,
-                &mut sink,
-                &mut ghost,
-                self.kill,
-            )?;
+            self.world
+                .emit_epoch(&config.run, e, last, &mut sink, &mut ghost, self.kill)?;
         }
         self.epoch = target;
         self.capture_snapshot();
@@ -818,19 +674,12 @@ impl ResilientState<'_> {
             writer
                 .get_mut()
                 .set_plan(self.chaos.map(|s| s.plan_for(target as u64)));
-            let run_cfg = &self.config.run;
+            let config = self.config;
             let last = self.last_epoch();
-            let events = emit_epoch(
-                &self.world,
-                run_cfg,
-                self.spec,
+            let events = self.world.emit_epoch(
+                &config.run,
                 target,
                 last,
-                &mut self.agents,
-                &mut self.scratch,
-                &mut self.bufs,
-                &self.hub_tx,
-                &self.hub_rx,
                 writer,
                 &mut self.stats,
                 self.kill,
@@ -896,8 +745,6 @@ pub fn run_agent_resilient(
     kill: Option<&AtomicBool>,
 ) -> io::Result<AgentStats> {
     let world = AgentWorld::build(config, spec)?;
-    let (hub_tx, hub_rx) = event_channel();
-    let num_hosts = world.topo.num_hosts();
     let mut state = ResilientState {
         config,
         spec,
@@ -905,11 +752,6 @@ pub fn run_agent_resilient(
         chaos,
         kill,
         world,
-        agents: (0..num_hosts).map(|_| None).collect(),
-        scratch: EpochScratch::new(),
-        bufs: EmitBuffers::new(),
-        hub_tx,
-        hub_rx,
         stats: AgentStats::default(),
         epoch: spec.start_epoch,
         snapshot: Vec::new(),
@@ -1640,31 +1482,20 @@ fn write_snapshot(path: &PathBuf, snap: &CollectorSnapshot) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Drains the hub into the ledger and the window's canonical report map
-/// (keyed like the ledger, so duplicates supersede identically).
-fn drain_hub(
-    hub_rx: &EventCollector,
-    inbox: &mut Vec<AgentEvent>,
-    ledger: &mut VoteLedger<EvidenceKey>,
-    reports: &mut BTreeMap<EvidenceKey, TraceReport>,
-    stats: &mut CollectorStats,
-) {
-    inbox.clear();
-    hub_rx.drain_into(inbox);
-    for event in inbox.drain(..) {
-        stats.events += 1;
-        if let AgentEvent::Evidence { report, .. } = event {
-            ledger.absorb(
-                (report.host, report.tuple),
-                FlowEvidence {
-                    links: report.links.clone(),
-                    retransmissions: report.retransmissions,
-                    complete: report.complete,
-                },
-            );
-            stats.evidence += 1;
-            reports.insert((report.host, report.tuple), report);
-        }
+/// The collector's evidence sink: the network hub the connection readers
+/// feed, drained into the ledger and the window's canonical report map
+/// (keyed like the ledger, so replayed duplicates supersede identically).
+/// The collector runs no agents of its own, so the staging events the
+/// driver hands over are always empty.
+struct CollectorSink {
+    hub: EventCollector,
+    analysis: LedgerSink,
+}
+
+impl EvidenceSink for CollectorSink {
+    fn drain(&mut self, events: &mut Vec<AgentEvent>) -> io::Result<()> {
+        self.hub.drain_into(events);
+        self.analysis.drain(events)
     }
 }
 
@@ -1985,7 +1816,7 @@ pub fn run_collector(
     let faults = config.faults.build(&topo, &mut rng);
     let run_cfg = &config.run;
     let num_hosts = u32::try_from(topo.num_hosts()).map_err(invalid)?;
-    let mut ledger = match restored {
+    let ledger = match restored {
         Some(snap) => VoteLedger::restore(
             topo.num_links(),
             run_cfg.alg1,
@@ -1995,11 +1826,18 @@ pub fn run_collector(
         ),
         None => fresh_ledger(topo.num_links(), run_cfg),
     };
-    let adversary = run_cfg
-        .byzantine
-        .enabled()
-        .then(|| AdversaryModel::new(run_cfg.byzantine, topo.num_links()));
-    let deferred_gate = run_cfg.slb.enabled();
+    // Local simulation for retained flow records and ground truth only:
+    // evidence admission happens on the agents, so the collector's driver
+    // covers no hosts and draws the identical epoch stream to score
+    // against.
+    let mut driver = EpochDriver::new(
+        &topo,
+        run_cfg,
+        0..0,
+        Some(RetainPolicy::EvidenceOnly),
+        StreamTuning::default().chunk_flows,
+        None,
+    );
 
     // Metrics endpoint, up before the start barrier so operators can
     // watch admission.
@@ -2103,75 +1941,25 @@ pub fn run_collector(
             stats.agents_live = stats.agents_admitted;
 
             let mut scratch = EpochScratch::new();
-            let mut window_reports: BTreeMap<EvidenceKey, TraceReport> = BTreeMap::new();
+            let mut sink = CollectorSink {
+                hub: hub_rx,
+                analysis: LedgerSink::new(ledger),
+            };
             let mut inbox: Vec<AgentEvent> = Vec::new();
-            let mut chunk: Vec<FlowRecord> = Vec::new();
-            let mut batch = FlowBatch::new();
             let mut closed_this_run = 0usize;
             let mut prev = stats.clone();
 
             for w in start_epoch..ccfg.epochs {
-                // Local simulation: retained flow records and ground truth only.
-                // Evidence admission happened on the agents; the collector draws
-                // the identical epoch stream to score against.
                 let mut erng = epoch_rng(trial_seed, w);
-                let mut stream = EpochStream::open(
+                let pulled = driver.run_epoch(
                     &topo,
+                    run_cfg,
                     &faults,
-                    &run_cfg.traffic,
-                    &run_cfg.sim,
+                    w as u64,
                     &mut erng,
                     &mut scratch,
-                );
-                let mut retained: Vec<FlowRecord> = Vec::new();
-                if let Some(adv) = &adversary {
-                    loop {
-                        chunk.clear();
-                        if stream.next_chunk(256, &mut chunk) == 0 {
-                            break;
-                        }
-                        for rec in chunk.drain(..) {
-                            // Evidence-only retention, byzantine-aware: keep any
-                            // record scoring may look up (retransmitting, or one
-                            // a compromised agent emitted for).
-                            if rec.retransmissions > 0 || adv.emission(&rec).is_some() {
-                                retained.push(rec);
-                            }
-                        }
-                        drain_hub(
-                            &hub_rx,
-                            &mut inbox,
-                            &mut ledger,
-                            &mut window_reports,
-                            &mut stats,
-                        );
-                    }
-                } else {
-                    loop {
-                        batch.clear();
-                        if stream.next_batch(256, &mut batch) == 0 {
-                            break;
-                        }
-                        for i in 0..batch.len() {
-                            if batch.retransmissions()[i] > 0 {
-                                retained.push(stream.materialize(&batch, i));
-                            }
-                        }
-                        drain_hub(
-                            &hub_rx,
-                            &mut inbox,
-                            &mut ledger,
-                            &mut window_reports,
-                            &mut stats,
-                        );
-                    }
-                }
-                let ground_truth = stream.finish();
-                if deferred_gate {
-                    // RNG parity with the agents (the gate decisions themselves
-                    // were made fleet-side).
-                    let _salt = erng.gen::<u64>();
-                }
+                    &mut sink,
+                )?;
 
                 // Window barrier: every non-evicted host range must barrier
                 // window `w` (delivered == claimed, replays requested until
@@ -2226,13 +2014,7 @@ pub fn run_collector(
                                 &mut ranges,
                                 &mut stats,
                             );
-                            drain_hub(
-                                &hub_rx,
-                                &mut inbox,
-                                &mut ledger,
-                                &mut window_reports,
-                                &mut stats,
-                            );
+                            sink.drain(&mut inbox)?;
                         }
                         Err(mpsc::RecvTimeoutError::Timeout) => {}
                         Err(mpsc::RecvTimeoutError::Disconnected) => {
@@ -2242,30 +2024,18 @@ pub fn run_collector(
                 }
                 // Everything forwarded before the barrier is on the hub already
                 // (readers forward, then signal); one final sweep gets it all.
-                drain_hub(
-                    &hub_rx,
-                    &mut inbox,
-                    &mut ledger,
-                    &mut window_reports,
-                    &mut stats,
-                );
+                sink.drain(&mut inbox)?;
 
                 // Close and score the window with the exact batch machinery.
-                let window = ledger.close_window();
-                let reports: Vec<TraceReport> =
-                    std::mem::take(&mut window_reports).into_values().collect();
-                let flow_index = FlowIndex::from_flows(&retained);
-                let outcome = EpochOutcome {
-                    flows: retained,
-                    ground_truth,
-                };
-                let run = assemble_epoch(outcome, flow_index, reports, window, run_cfg);
+                let run = sink.analysis.close(pulled.outcome, run_cfg);
                 let er = evaluate_epoch(&run);
 
                 // Loss accounting surfaces at every window close.
                 stats.windows += 1;
-                stats.delivered = hub_rx.delivered();
-                stats.shed = hub_rx.shed();
+                stats.events = sink.analysis.events;
+                stats.evidence = sink.analysis.evidence;
+                stats.delivered = sink.hub.delivered();
+                stats.shed = sink.hub.shed();
                 {
                     let t = tracker.lock().expect("seq tracker lock");
                     stats.seq_gaps = t.gaps;
@@ -2314,7 +2084,9 @@ pub fn run_collector(
                         hosts_evicted: stats.hosts_evicted - prev.hosts_evicted,
                         coverage,
                         detected: er.detected.iter().map(|l| l.0).collect(),
-                        heat: ledger
+                        heat: sink
+                            .analysis
+                            .ledger
                             .health()
                             .heat_map()
                             .into_iter()
@@ -2334,7 +2106,7 @@ pub fn run_collector(
                     let snap = CollectorSnapshot {
                         seed: config.seed,
                         epochs_done: w + 1,
-                        ledger: ledger.snapshot(),
+                        ledger: sink.analysis.ledger.snapshot(),
                         epochs: epoch_reports.clone(),
                     };
                     write_snapshot(path, &snap)?;
@@ -2404,9 +2176,12 @@ pub fn run_collector(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{stream_trial, StreamTuning};
+    use crate::stream::stream_trial;
     use std::io::Cursor;
+    use vigil_agents::{event_channel, ByzantineSpec};
+    use vigil_analysis::FlowEvidence;
     use vigil_fabric::faults::{FaultPlan, RateRange};
+    use vigil_fabric::slb::SlbModel;
     use vigil_fabric::traffic::{ConnCount, TrafficSpec};
     use vigil_topology::{ClosParams, HostId};
     use vigil_wire::chaos::ChaosPlan;
@@ -2469,39 +2244,57 @@ mod tests {
         ClosTopology::new(cfg.params, 0).unwrap().num_hosts() as u32
     }
 
+    /// The wire ≡ stream contract on every admission branch: honest, the
+    /// deferred SLB gate, each byzantine behaviour, and both axes at once,
+    /// over an uneven host split.
     #[test]
     fn loopback_agents_match_in_process_stream() {
-        let cfg = tiny_config();
-        let hosts = num_hosts(&cfg);
-        let listener = Endpoint::parse("127.0.0.1:0").bind().unwrap();
-        let addr = listener.local_addr();
-        let split = hosts / 2;
-        let handles = spawn_agents(&cfg, &addr, &[0..split, split..hosts], 0, cfg.epochs);
-        let ccfg = CollectorConfig {
-            agents: 2,
-            epochs: cfg.epochs,
-            ..CollectorConfig::default()
-        };
-        let outcome = run_collector(&cfg, &listener, &ccfg).unwrap();
-        for h in handles {
-            let stats = h.join().unwrap();
-            assert_eq!(stats.epochs, cfg.epochs);
+        let honest = ByzantineSpec::default();
+        let ungated = SlbModel::default();
+        let gated = SlbModel::query_failures(0.4);
+        let cases = [
+            ("honest", ungated, honest),
+            ("gate 0.4", gated, honest),
+            ("liars", ungated, ByzantineSpec::liars(0.33)),
+            ("flooders", ungated, ByzantineSpec::flooders(0.33, 0.5)),
+            ("flippers + gate", gated, ByzantineSpec::flippers(0.25)),
+            ("mutes + gate", gated, ByzantineSpec::mutes(0.33)),
+        ];
+        for (label, slb, byzantine) in cases {
+            let mut cfg = tiny_config();
+            cfg.run.slb = slb;
+            cfg.run.byzantine = byzantine;
+            let hosts = num_hosts(&cfg);
+            let listener = Endpoint::parse("127.0.0.1:0").bind().unwrap();
+            let addr = listener.local_addr();
+            let split = hosts / 3;
+            let handles = spawn_agents(&cfg, &addr, &[0..split, split..hosts], 0, cfg.epochs);
+            let ccfg = CollectorConfig {
+                agents: 2,
+                epochs: cfg.epochs,
+                ..CollectorConfig::default()
+            };
+            let outcome = run_collector(&cfg, &listener, &ccfg).unwrap();
+            for h in handles {
+                let stats = h.join().unwrap();
+                assert_eq!(stats.epochs, cfg.epochs, "{label}");
+                assert_eq!(
+                    stats.flushes, cfg.epochs as u64,
+                    "{label}: plain agent pushes the wire exactly once per epoch"
+                );
+            }
+            let CollectorOutcome::Completed(report, stats) = outcome else {
+                panic!("{label}: expected a completed run");
+            };
+            assert_eq!(stats.shed, 0, "{label}: loopback must not shed");
+            assert_eq!(stats.seq_gaps, 0, "{label}: loopback must not gap");
+            assert!(stats.evidence > 0, "{label}: fleet produced evidence");
             assert_eq!(
-                stats.flushes, cfg.epochs as u64,
-                "plain agent pushes the wire exactly once per epoch"
+                serde_json::to_string_pretty(&*report).unwrap(),
+                expected_report(&cfg),
+                "{label}: distributed run must be byte-identical to the in-process stream"
             );
         }
-        let CollectorOutcome::Completed(report, stats) = outcome else {
-            panic!("expected a completed run");
-        };
-        assert_eq!(stats.shed, 0, "loopback must not shed");
-        assert_eq!(stats.seq_gaps, 0, "loopback must not gap");
-        assert!(stats.evidence > 0, "fleet produced evidence");
-        assert_eq!(
-            serde_json::to_string_pretty(&*report).unwrap(),
-            expected_report(&cfg),
-            "distributed run must be byte-identical to the in-process stream"
-        );
     }
 
     #[test]

@@ -13,33 +13,26 @@
 //!  EpochRun ◀── close_window ── VoteLedger ◀── drain ── bounded hub
 //! ```
 //!
-//! Flow records live only inside the current chunk (plus whatever the
-//! retain policy keeps for scoring); evidence — a few links and a count
-//! per traced flow — is all that survives to the window close. The
-//! driver reproduces the batch pipeline's exact RNG draw order and
-//! canonical evidence order, so [`crate::run::run_epoch_with`] is now a
-//! thin wrapper over [`StreamSession::run_window`] with a
-//! retain-everything policy, and every golden stays byte-identical.
-//!
-//! The SLB gate (§4.2) needs the epoch's gate salt, which the batch
-//! pipeline draws *after* the simulation's RNG draws; when the gate is
-//! active the driver therefore defers agent processing to the window
-//! close, buffering only (event, discovered-path) pairs — evidence-sized,
-//! not flow-sized. With the gate off (the default), evidence streams
-//! through the hub while the epoch is still being simulated.
+//! A [`StreamSession`] runs the crate's one epoch driver (the pull loop
+//! the wire agent and the collector share) over every host, with the
+//! vote ledger as its evidence sink. Flow records live only inside the current
+//! chunk (plus whatever the retain policy keeps for scoring); evidence —
+//! a few links and a count per traced flow — is all that survives to the
+//! window close. The driver reproduces the batch pipeline's exact RNG
+//! draw order and canonical evidence order, so
+//! [`crate::run::run_epoch_with`] is a thin wrapper over
+//! [`StreamSession::run_window`] with a retain-everything policy, and
+//! every golden stays byte-identical.
 
+use crate::driver::{EpochDriver, LedgerSink};
 use crate::evaluate::evaluate_epoch;
 use crate::experiment::{ExperimentConfig, ExperimentReport, TrialAccumulator, TrialReport};
-use crate::run::{assemble_epoch, fresh_ledger, EpochRun, RunConfig};
+use crate::run::{fresh_ledger, EpochRun, RunConfig};
 use crate::sweep::SweepEngine;
 use rand::Rng;
 use serde::Serialize;
-use vigil_agents::{
-    event_channel_bounded, AdversaryModel, AgentEvent, DiscoveredPath, EventCollector, EventSender,
-    FlowIndex, HostAgent, RetransmissionEvent, TraceReport,
-};
-use vigil_analysis::{FlowEvidence, VoteLedger};
-use vigil_fabric::flowsim::{EpochOutcome, EpochScratch, EpochStream, FlowBatch, FlowRecord};
+use vigil_analysis::VoteLedger;
+use vigil_fabric::flowsim::EpochScratch;
 use vigil_fabric::LinkFaults;
 use vigil_packet::FiveTuple;
 use vigil_topology::{ClosTopology, HostId};
@@ -107,9 +100,9 @@ pub struct StreamStats {
     pub events: u64,
     /// Evidence events among them (= reports absorbed by the ledger).
     pub evidence: u64,
-    /// Events accepted onto the hub ([`EventCollector::delivered`]).
+    /// Events accepted onto the hub ([`vigil_agents::EventCollector::delivered`]).
     pub delivered: u64,
-    /// Events shed by the bounded hub ([`EventCollector::shed`]) — the
+    /// Events shed by the bounded hub ([`vigil_agents::EventCollector::shed`]) — the
     /// silent-loss counter the driver logs every window.
     pub shed: u64,
     /// Peak simultaneously-resident flow records (chunk + retained).
@@ -160,19 +153,9 @@ impl StreamStats {
 /// state alongside the owned [`ClosTopology`] it serves.
 #[derive(Debug)]
 pub struct StreamSession {
-    tuning: StreamTuning,
-    retain: RetainPolicy,
-    agents: Vec<Option<HostAgent>>,
-    adversary: Option<AdversaryModel>,
-    ledger: VoteLedger<EvidenceKey>,
-    hub_tx: EventSender,
-    hub_rx: EventCollector,
+    driver: EpochDriver,
+    sink: LedgerSink,
     stats: StreamStats,
-    reports: Vec<TraceReport>,
-    chunk: Vec<FlowRecord>,
-    batch: FlowBatch,
-    inbox: Vec<AgentEvent>,
-    pending: Vec<(RetransmissionEvent, DiscoveredPath)>,
 }
 
 impl StreamSession {
@@ -192,24 +175,18 @@ impl StreamSession {
         retain: RetainPolicy,
     ) -> Self {
         tuning.validate();
-        let (hub_tx, hub_rx) = event_channel_bounded(tuning.hub_capacity);
+        let hosts = u32::try_from(topo.num_hosts()).expect("host ids are u32");
         Self {
-            tuning,
-            retain,
-            agents: (0..topo.num_hosts()).map(|_| None).collect(),
-            adversary: config
-                .byzantine
-                .enabled()
-                .then(|| AdversaryModel::new(config.byzantine, topo.num_links())),
-            ledger: fresh_ledger(topo.num_links(), config),
-            hub_tx,
-            hub_rx,
+            driver: EpochDriver::new(
+                topo,
+                config,
+                0..hosts,
+                Some(retain),
+                tuning.chunk_flows,
+                Some(tuning.hub_capacity),
+            ),
+            sink: LedgerSink::new(fresh_ledger(topo.num_links(), config)),
             stats: StreamStats::default(),
-            reports: Vec::new(),
-            chunk: Vec::new(),
-            batch: FlowBatch::new(),
-            inbox: Vec::new(),
-            pending: Vec::new(),
         }
     }
 
@@ -221,44 +198,7 @@ impl StreamSession {
     /// The live analysis ledger (between-closes snapshots: rankings, the
     /// window ring, the cross-window heat map).
     pub fn ledger(&self) -> &VoteLedger<EvidenceKey> {
-        &self.ledger
-    }
-
-    /// Drains the hub into the ledger: evidence is absorbed the moment it
-    /// crosses; lifecycle events are counted and dropped.
-    fn drain_hub(&mut self) {
-        self.inbox.clear();
-        self.hub_rx.drain_into(&mut self.inbox);
-        for event in self.inbox.drain(..) {
-            self.stats.events += 1;
-            if let AgentEvent::Evidence { report, .. } = event {
-                self.ledger.absorb(
-                    (report.host, report.tuple),
-                    FlowEvidence {
-                        links: report.links.clone(),
-                        retransmissions: report.retransmissions,
-                        complete: report.complete,
-                    },
-                );
-                self.reports.push(report);
-                self.stats.evidence += 1;
-            }
-        }
-    }
-
-    /// Routes one eventful record through its (lazily created) host
-    /// agent, which emits protocol events onto the hub.
-    fn dispatch(
-        &mut self,
-        topo: &ClosTopology,
-        config: &RunConfig,
-        event: RetransmissionEvent,
-        path: DiscoveredPath,
-    ) {
-        let slot = &mut self.agents[event.host.0 as usize];
-        let agent =
-            slot.get_or_insert_with(|| HostAgent::new(event.host, config.pacer.pacer(topo)));
-        agent.on_retransmission(&event, path, &self.hub_tx);
+        &self.sink.ledger
     }
 
     /// Runs one window: simulate the epoch in chunks, stream evidence
@@ -274,199 +214,38 @@ impl StreamSession {
         rng: &mut R,
         scratch: &mut EpochScratch,
     ) -> EpochRun {
-        debug_assert_eq!(
-            self.agents.len(),
-            topo.num_hosts(),
-            "session sized for a different topology"
-        );
-        // The batch pipeline draws the SLB gate salt *after* the epoch's
-        // simulation draws; an active gate therefore defers agent
-        // processing to the window close (buffering evidence-sized
-        // pending pairs), while the common gate-off path streams evidence
-        // incrementally.
-        let deferred_gate = config.slb.enabled();
-        let mut stream =
-            EpochStream::open(topo, faults, &config.traffic, &config.sim, rng, scratch);
-        let mut retained: Vec<FlowRecord> = match self.retain {
-            RetainPolicy::All => Vec::with_capacity(stream.total_flows()),
-            RetainPolicy::EvidenceOnly => Vec::new(),
-        };
-
-        if self.adversary.is_some() {
-            // Adversarial path: the model inspects whole records, so pull
-            // materialized chunks.
-            loop {
-                self.chunk.clear();
-                if stream.next_chunk(self.tuning.chunk_flows, &mut self.chunk) == 0 {
-                    break;
-                }
-                self.stats.flows += self.chunk.len() as u64;
-                self.stats.peak_resident_flows = self
-                    .stats
-                    .peak_resident_flows
-                    .max((retained.len() + self.chunk.len()) as u64);
-                // The chunk buffer steps out of `self` for the dispatch
-                // loop (agents and hub are `self` fields) and returns
-                // after it, keeping its capacity across pulls.
-                let mut chunk = std::mem::take(&mut self.chunk);
-                for rec in chunk.drain(..) {
-                    // The adversary model overrides the honest
-                    // eventfulness decision for compromised hosts (lie,
-                    // stay mute, or flood a healthy flow) — a pure
-                    // per-flow hash.
-                    let emitted = self
-                        .adversary
-                        .as_ref()
-                        .expect("adversarial path")
-                        .emission(&rec);
-                    let emitted_some = emitted.is_some();
-                    if let Some((event, path)) = emitted {
-                        if deferred_gate {
-                            self.pending.push((event, path));
-                        } else {
-                            self.dispatch(topo, config, event, path);
-                        }
-                    }
-                    match self.retain {
-                        RetainPolicy::All => retained.push(rec),
-                        RetainPolicy::EvidenceOnly => {
-                            // Everything scoring consults: retransmitting
-                            // flows, plus any flow a byzantine agent
-                            // emitted evidence for (its record must
-                            // resolve in the flow index exactly as in the
-                            // retain-all path).
-                            if rec.retransmissions > 0 || emitted_some {
-                                retained.push(rec);
-                            }
-                        }
-                    }
-                }
-                self.chunk = chunk;
-                self.drain_hub();
-            }
-        } else {
-            // Honest path: pull struct-of-arrays batches and scan the
-            // dense columns. The monitoring agent's eventfulness rule
-            // (§4.2) — established and at least one retransmission —
-            // reads two columns; only rows that are eventful or retained
-            // are materialized into records, so the common clean flow
-            // never allocates.
-            loop {
-                self.batch.clear();
-                if stream.next_batch(self.tuning.chunk_flows, &mut self.batch) == 0 {
-                    break;
-                }
-                self.stats.flows += self.batch.len() as u64;
-                self.stats.peak_resident_flows = self
-                    .stats
-                    .peak_resident_flows
-                    .max((retained.len() + self.batch.len()) as u64);
-                let batch = std::mem::take(&mut self.batch);
-                for i in 0..batch.len() {
-                    let eventful = batch.established()[i] && batch.retransmissions()[i] > 0;
-                    let keep = match self.retain {
-                        RetainPolicy::All => true,
-                        RetainPolicy::EvidenceOnly => batch.retransmissions()[i] > 0,
-                    };
-                    if !eventful && !keep {
-                        continue;
-                    }
-                    let rec = stream.materialize(&batch, i);
-                    if eventful {
-                        let event = RetransmissionEvent {
-                            host: rec.src,
-                            tuple: rec.tuple,
-                            retransmissions: rec.retransmissions,
-                        };
-                        let path = DiscoveredPath::of_flow_path(&rec.path);
-                        if deferred_gate {
-                            self.pending.push((event, path));
-                        } else {
-                            self.dispatch(topo, config, event, path);
-                        }
-                    }
-                    if keep {
-                        retained.push(rec);
-                    }
-                }
-                self.batch = batch;
-                self.drain_hub();
-            }
-        }
-        let ground_truth = stream.finish();
-
-        if deferred_gate {
-            // Same draw position as the batch runner: first draw after
-            // the simulation stream.
-            let salt = rng.gen::<u64>();
-            let pending = std::mem::take(&mut self.pending);
-            for (i, (event, path)) in pending.into_iter().enumerate() {
-                if !config.slb.skips(&event.tuple, salt) {
-                    self.dispatch(topo, config, event, path);
-                }
-                if (i + 1) % self.tuning.chunk_flows == 0 {
-                    self.drain_hub();
-                }
-            }
-            self.drain_hub();
-        }
-
-        // Roll every live agent into the next epoch (budget refresh,
-        // trace-cache clear), announced on the hub; drain periodically so
-        // a large fleet's ticks cannot overflow the bounded queue.
-        let next_epoch = self.ledger.epoch() + 1;
-        let mut since_drain = 0usize;
-        for i in 0..self.agents.len() {
-            if let Some(agent) = self.agents[i].as_mut() {
-                agent.epoch_tick(next_epoch, &self.hub_tx);
-                since_drain += 1;
-                if since_drain >= self.tuning.hub_capacity {
-                    self.drain_hub();
-                    since_drain = 0;
-                }
-            }
-        }
-        self.drain_hub();
-
+        let epoch = self.sink.ledger.epoch();
+        let pulled = self
+            .driver
+            .run_epoch(topo, config, faults, epoch, rng, scratch, &mut self.sink)
+            .expect("the ledger sink never fails");
+        self.stats.flows += pulled.flows;
+        self.stats.peak_resident_flows = self.stats.peak_resident_flows.max(pulled.peak_resident);
         self.account_hub(Some(self.stats.windows));
         self.stats.windows += 1;
-
-        let window = self.ledger.close_window();
-        let reports = std::mem::take(&mut self.reports);
-        let flow_index = FlowIndex::from_flows(&retained);
-        let outcome = EpochOutcome {
-            flows: retained,
-            ground_truth,
-        };
-        assemble_epoch(outcome, flow_index, reports, window, config)
+        self.sink.close(pulled.outcome, config)
     }
 
     /// Shuts the session down: every live agent announces
-    /// [`AgentEvent::Drain`] and the hub is drained one last time.
+    /// [`vigil_agents::AgentEvent::Drain`] and the hub is drained one
+    /// last time.
     pub fn shutdown(&mut self) {
-        let mut since_drain = 0usize;
-        for i in 0..self.agents.len() {
-            if let Some(agent) = self.agents[i].as_mut() {
-                agent.drain(&self.hub_tx);
-                since_drain += 1;
-                if since_drain >= self.tuning.hub_capacity {
-                    self.drain_hub();
-                    since_drain = 0;
-                }
-            }
-        }
-        self.drain_hub();
+        self.driver
+            .shutdown(&mut self.sink)
+            .expect("the ledger sink never fails");
         self.account_hub(None);
     }
 
-    /// Rolls the hub's delivered/shed counters into the session stats.
+    /// Rolls the sink's and the hub's counters into the session stats.
     /// Shedding never panics — an undersized hub loses votes, bumps the
     /// counter, and logs a warning, the same in debug and release — so
     /// the accounting below is the *only* place loss becomes visible.
     fn account_hub(&mut self, window: Option<u64>) {
         let shed_before = self.stats.shed;
-        self.stats.delivered = self.hub_rx.delivered();
-        self.stats.shed = self.hub_rx.shed();
+        self.stats.events = self.sink.events;
+        self.stats.evidence = self.sink.evidence;
+        self.stats.delivered = self.driver.staging().delivered();
+        self.stats.shed = self.driver.staging().shed();
         if self.stats.shed > shed_before {
             let lost = self.stats.shed - shed_before;
             match window {
@@ -553,6 +332,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use vigil_agents::TraceReport;
     use vigil_fabric::faults::{FaultPlan, RateRange};
     use vigil_fabric::slb::SlbModel;
     use vigil_fabric::traffic::{ConnCount, TrafficSpec};
@@ -653,9 +433,8 @@ mod tests {
 
     #[test]
     fn deferred_gate_matches_batch_runner() {
-        // SLB gating forces the deferred path; it must still reproduce
-        // run_epoch (which itself asserts parity with the threaded
-        // runner elsewhere).
+        // SLB gating forces the deferred path; an evidence-only session
+        // with an odd chunk size must still reproduce run_epoch.
         let (topo, faults) = setup(2, 57);
         let mut cfg = config();
         cfg.slb = SlbModel::query_failures(0.5);

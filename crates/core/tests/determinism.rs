@@ -361,20 +361,19 @@ fn pool_is_byte_identical_at_one_two_and_four_threads() {
 }
 
 #[test]
-fn tier_two_epoch_threading_matches_serial_inside_the_pool() {
-    // One trial × one epoch on a 4-wide engine leaves three pool workers
-    // idle, so the pool's second tier hands the epoch's hosts to
-    // `run_epoch_threaded` (inner = 4) with per-worker ledger shards.
-    // The report must still match the fully serial run byte for byte.
+fn grid_smaller_than_the_engine_matches_serial() {
+    // One trial × one epoch on a 4-wide engine: a single cell, so three
+    // pool workers find nothing to claim. The report must still match the
+    // fully serial run byte for byte.
     let mut cfg = config();
     cfg.trials = 1;
     cfg.epochs = 1;
     let serial = SweepEngine::new(1).run_experiment(&cfg);
-    let fanned = SweepEngine::new(4).run_experiment(&cfg);
+    let wide = SweepEngine::new(4).run_experiment(&cfg);
     assert_eq!(
         serde_json::to_string_pretty(&serial).unwrap(),
-        serde_json::to_string_pretty(&fanned).unwrap(),
-        "tier-2 host fan-out changed the report"
+        serde_json::to_string_pretty(&wide).unwrap(),
+        "an idle-worker pool changed the report"
     );
 }
 

@@ -63,7 +63,8 @@ fn main() {
 
         // Run the agent + analysis side on the replayed epoch.
         let monitor = vigil_agents::TcpMonitor::new();
-        let mut tracer = vigil_agents::OracleTracer::from_flows(&outcome.flows);
+        let index = vigil_agents::FlowIndex::from_flows(&outcome.flows);
+        let mut tracer = vigil_agents::FlowTableTracer::new(&outcome.flows, &index);
         let mut evidence = Vec::new();
         for host in topo.hosts() {
             let mut agent = vigil_agents::HostAgent::new(

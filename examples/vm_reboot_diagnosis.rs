@@ -91,7 +91,8 @@ fn main() {
 
     // --- 007 explains the reboots ---------------------------------------
     let monitor = vigil_agents::TcpMonitor::new();
-    let mut tracer = vigil_agents::OracleTracer::from_flows(&outcome.flows);
+    let index = vigil_agents::FlowIndex::from_flows(&outcome.flows);
+    let mut tracer = vigil_agents::FlowTableTracer::new(&outcome.flows, &index);
     let mut reports = Vec::new();
     for host in topo.hosts() {
         let mut agent = vigil_agents::HostAgent::new(

@@ -950,13 +950,21 @@ fn run_matrix(flags: &[String]) -> ExitCode {
         runner.seed = s;
     }
 
-    println!(
+    // Under --json, stdout is the report alone; human lines go to stderr.
+    let say = |line: String| {
+        if json {
+            eprintln!("{line}");
+        } else {
+            println!("{line}");
+        }
+    };
+    say(format!(
         "scenario matrix: {} case(s) × {} trial(s) × {} epoch(s), {} worker thread(s)",
         cases.len(),
         runner.trials,
         runner.epochs,
         engine.threads()
-    );
+    ));
     let report = runner.run(&cases);
 
     if json {
@@ -1011,17 +1019,17 @@ fn run_matrix(flags: &[String]) -> ExitCode {
     if std::fs::create_dir_all("results").is_ok() {
         if let Ok(s) = serde_json::to_string_pretty(&report) {
             if std::fs::write("results/matrix.json", s).is_ok() {
-                println!("\n(wrote results/matrix.json)");
+                say("\n(wrote results/matrix.json)".into());
             }
         }
     }
 
     let failures = report.failures();
     if failures.is_empty() {
-        println!(
+        say(format!(
             "\nconformance: all {} case(s) inside their envelopes",
             report.cases.len()
-        );
+        ));
         ExitCode::SUCCESS
     } else {
         eprintln!("\nconformance: {} case(s) FAILED:", failures.len());

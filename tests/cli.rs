@@ -142,21 +142,12 @@ fn matrix_run_with_filter_reports_conformance_and_is_thread_invariant() {
     };
     let one = run("1");
     let four = run("4");
-    // The banner names the worker count; everything from the JSON on must
-    // be byte-identical.
-    let json_of = |s: &str| {
-        let start = s.find('{').expect("json in stdout");
-        let end = s.rfind('}').expect("json in stdout");
-        s[start..=end].to_string()
-    };
-    assert_eq!(
-        json_of(&one),
-        json_of(&four),
-        "thread count changed the matrix JSON"
-    );
+    // The banner naming the worker count goes to stderr; stdout is the
+    // report alone and must be byte-identical.
+    assert_eq!(one, four, "thread count changed the matrix JSON");
 
     // The JSON verdict is machine-readable and case-complete.
-    let report: serde_json::Value = serde_json::from_str(&json_of(&one)).unwrap();
+    let report: serde_json::Value = serde_json::from_str(&one).unwrap();
     let cases = report
         .get("cases")
         .and_then(serde_json::Value::as_seq)
@@ -200,11 +191,7 @@ fn byzantine_matrix_gates_and_forced_violation_fails() {
         String::from_utf8_lossy(&committed.stdout)
     );
     let text = String::from_utf8(committed.stdout).unwrap();
-    let report: serde_json::Value = {
-        let start = text.find('{').expect("json in stdout");
-        let end = text.rfind('}').expect("json in stdout");
-        serde_json::from_str(&text[start..=end]).unwrap()
-    };
+    let report: serde_json::Value = serde_json::from_str(&text).unwrap();
     let points = report
         .get("breaking_points")
         .and_then(serde_json::Value::as_seq)
@@ -231,6 +218,34 @@ fn byzantine_matrix_gates_and_forced_violation_fails() {
         .output()
         .unwrap();
     assert!(!misapplied.status.success());
+}
+
+#[test]
+fn json_stdout_is_exactly_one_document() {
+    // Machine output on stdout is always valid JSON: every `--json`
+    // report parses whole, with no banner or trailer around it.
+    for args in [
+        &["run", "single-failure", "--trials", "1", "--epochs", "1"][..],
+        &["stream", "single-failure", "--trials", "1", "--epochs", "1"][..],
+        &[
+            "matrix", "--filter", "drop/k1", "--trials", "1", "--epochs", "1",
+        ][..],
+    ] {
+        let out = vigil_sim()
+            .args(args)
+            .args(["--threads", "1", "--json"])
+            .output()
+            .expect("spawn vigil-sim");
+        assert!(
+            out.status.success(),
+            "vigil-sim {args:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        if let Err(e) = serde_json::from_str::<serde_json::Value>(&stdout) {
+            panic!("vigil-sim {args:?} --json stdout is not one JSON document: {e}\n{stdout}");
+        }
+    }
 }
 
 #[test]

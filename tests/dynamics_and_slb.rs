@@ -4,7 +4,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use vigil::prelude::*;
-use vigil_agents::{HostAgent, HostPacer, OracleTracer, SlbGate, TcpMonitor};
+use vigil_agents::{FlowIndex, FlowTableTracer, HostAgent, HostPacer, SlbGate, TcpMonitor};
 use vigil_fabric::dynamics::FaultTimeline;
 use vigil_fabric::flowsim::simulate_flows;
 use vigil_fabric::slb::{Slb, VipPool};
@@ -168,7 +168,8 @@ fn vip_traffic_traced_through_slb_gate() {
 
     let outcome = simulate_flows(&topo, &faults, &specs, &SimConfig::default(), &mut rng);
     let monitor = TcpMonitor::new();
-    let mut tracer = OracleTracer::from_flows(&outcome.flows);
+    let index = FlowIndex::from_flows(&outcome.flows);
+    let mut tracer = FlowTableTracer::new(&outcome.flows, &index);
     let mut gate = SlbGate::new(&slb, SlbGate::default_vip_classifier);
 
     // The monitor reports the kernel's view: the VIP tuple (the vSwitch
@@ -232,7 +233,8 @@ fn snat_flows_never_trace() {
 
     let mut gate = SlbGate::new(&slb, SlbGate::default_vip_classifier);
     let mut agent = HostAgent::new(host, HostPacer::with_budget(5));
-    let mut tracer = OracleTracer::default();
+    let index = FlowIndex::default();
+    let mut tracer = FlowTableTracer::new(&[], &index);
     let event = vigil_agents::RetransmissionEvent {
         host,
         tuple: flow,
