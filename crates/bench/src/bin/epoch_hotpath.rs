@@ -182,8 +182,6 @@ fn main() {
         "route_table_hits": route.table_hits,
         "route_table_misses": route.table_misses,
         "route_table_compiles": route.compiles,
-        "route_path_hits": route.path_hits,
-        "route_path_misses": route.path_misses,
         "pre_route_cache_warm_mean_ns_per_epoch": PRE_ROUTE_CACHE_WARM_MEAN_NS,
         "pre_route_cache_warm_allocs_per_epoch": PRE_ROUTE_CACHE_WARM_ALLOCS,
         "warm_speedup_vs_pre_route_cache": PRE_ROUTE_CACHE_WARM_MEAN_NS / warm_mean_ns,
@@ -198,11 +196,9 @@ fn main() {
          {warm_bytes_per_epoch:.0} bytes/epoch over {iters} iters ({cores} core(s)) \
          -> BENCH_epoch.json [{reduction:.2}x fewer cold allocs than pre-PR, \
          {:.2}x warm speedup vs pre-route-cache; route cache {} compile(s), \
-         {} table hit(s), {}/{} path hits/misses]",
+         {} table hit(s)]",
         PRE_ROUTE_CACHE_WARM_MEAN_NS / warm_mean_ns,
         route.compiles,
         route.table_hits,
-        route.path_hits,
-        route.path_misses,
     );
 }

@@ -309,7 +309,7 @@ pub fn run_trial_with<'f>(
 ) -> TrialReport {
     let mut acc = TrialAccumulator::new(epochs);
     // One scratch AND one stream session for the whole trial: the
-    // simulator's routing buffers and interned-path arena persist across
+    // simulator's routing buffers and compiled route tables persist across
     // epochs (same topology, so link ids stay valid), and the session's
     // hub, ledger, and agent table are built once instead of per epoch —
     // [`run_epoch_with`]'s throwaway-session path is for one-shot

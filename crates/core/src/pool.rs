@@ -164,10 +164,10 @@ fn build_trial(group: &EpochGroup<'_>, trial: usize) -> TrialContext {
 
 /// One worker's cached trial state (plus the key it was built for).
 /// The simulator scratch lives here rather than in [`TrialContext`] so
-/// its interned paths and compiled route tables survive trial switches:
-/// trials share [`ClosParams`], so a worker crossing a trial boundary
-/// keeps its arena and — when the down-link set repeats, as flap and
-/// maintenance timelines make it do — its fault-keyed routing plans.
+/// its compiled route tables survive trial switches: trials share
+/// [`ClosParams`], so a worker crossing a trial boundary keeps — when
+/// the down-link set repeats, as flap and maintenance timelines make it
+/// do — its fault-keyed routing plans.
 #[derive(Default)]
 struct WorkerState {
     key: Option<(usize, usize)>,

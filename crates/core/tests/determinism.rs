@@ -54,7 +54,7 @@ fn engine_reproduces_serial_runner() {
 #[test]
 fn scratch_reuse_across_epochs_is_invisible() {
     // The allocation-free hot path threads one `EpochScratch` (routing
-    // buffers + interned-path arena) through every epoch of a trial.
+    // buffers + compiled route tables) through every epoch of a trial.
     // Reuse must be unobservable: a chain of scratch-sharing epochs has
     // to produce byte-identical reports to fresh-scratch epochs on the
     // same RNG stream, and the experiment JSON must stay identical at
@@ -88,10 +88,6 @@ fn scratch_reuse_across_epochs_is_invisible() {
             "epoch {epoch}: scratch reuse changed the detections"
         );
     }
-    assert!(
-        scratch.interned_paths() > 0,
-        "three epochs must intern paths"
-    );
 
     // And through the engine: both thread counts run the reusing loop.
     let mut cfg = config();
@@ -106,11 +102,12 @@ fn scratch_reuse_across_epochs_is_invisible() {
 }
 
 #[test]
-fn route_cache_on_off_and_warmth_are_invisible() {
-    // The epoch-compiled route cache consumes no RNG draws, so cached
-    // and uncached routing must agree byte for byte — first in-process
-    // (the per-scratch override, epoch by epoch), then end to end
-    // through the env escape hatch for run, stream, and matrix JSON.
+fn route_table_warmth_is_invisible() {
+    // The epoch-compiled route table is reused across epochs whose
+    // down-set is unchanged. Reuse consumes no RNG draws, so a scratch
+    // carrying a warm table must agree byte for byte with a fresh
+    // scratch per epoch. (Compiled ≡ walked routing is checked flow by
+    // flow in `route_oracle.rs`.)
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use vigil_fabric::EpochScratch;
@@ -120,60 +117,30 @@ fn route_cache_on_off_and_warmth_are_invisible() {
     let mut fault_rng = ChaCha8Rng::seed_from_u64(7);
     let faults = cfg.faults.build(&topo, &mut fault_rng);
 
-    let mut cached_rng = ChaCha8Rng::seed_from_u64(43);
-    let mut walked_rng = ChaCha8Rng::seed_from_u64(43);
-    let mut cached = EpochScratch::new();
-    cached.set_route_cache(true);
-    let mut walked = EpochScratch::new();
-    walked.set_route_cache(false);
+    let mut warm_rng = ChaCha8Rng::seed_from_u64(43);
+    let mut fresh_rng = ChaCha8Rng::seed_from_u64(43);
+    let mut warm = EpochScratch::new();
     for epoch in 0..3 {
-        let with_cache = run_epoch_with(&topo, &faults, &cfg.run, &mut cached_rng, &mut cached);
-        let without = run_epoch_with(&topo, &faults, &cfg.run, &mut walked_rng, &mut walked);
-        assert_eq!(
-            with_cache.outcome.flows, without.outcome.flows,
-            "epoch {epoch}: route cache changed the simulated flows"
+        let reused = run_epoch_with(&topo, &faults, &cfg.run, &mut warm_rng, &mut warm);
+        let fresh = run_epoch_with(
+            &topo,
+            &faults,
+            &cfg.run,
+            &mut fresh_rng,
+            &mut EpochScratch::new(),
         );
         assert_eq!(
-            with_cache.reports, without.reports,
-            "epoch {epoch}: route cache changed the reports"
+            reused.outcome.flows, fresh.outcome.flows,
+            "epoch {epoch}: a warm route table changed the simulated flows"
+        );
+        assert_eq!(
+            reused.reports, fresh.reports,
+            "epoch {epoch}: a warm route table changed the reports"
         );
     }
-    let stats = cached.route_cache_stats();
+    let stats = warm.route_cache_stats();
     assert_eq!(stats.compiles, 1, "static faults compile one table");
     assert_eq!(stats.table_hits, 2, "epochs 1 and 2 reuse it warm");
-    assert!(stats.path_hits > 0, "repeated flows hit the path memo");
-    let off = walked.route_cache_stats();
-    assert_eq!(
-        (off.compiles, off.table_hits),
-        (0, 0),
-        "override stayed off"
-    );
-
-    // End to end: the env hatch must leave run/stream/matrix JSON
-    // untouched (safe even if other tests observe the var mid-run —
-    // both modes produce identical bytes by construction).
-    let run_json = |cfg: &ExperimentConfig| {
-        serde_json::to_string_pretty(&SweepEngine::new(2).run_experiment(cfg)).unwrap()
-    };
-    let stream_json = |cfg: &ExperimentConfig| {
-        let (report, _) = stream_experiment(cfg, &SweepEngine::new(2), &StreamTuning::default());
-        serde_json::to_string_pretty(&report).unwrap()
-    };
-    let matrix_json = || {
-        let cases = vigil::matrix::filter_cases(scenarios::standard_matrix(), "flap/k1");
-        assert!(!cases.is_empty());
-        let mut runner = MatrixRunner::new(SweepEngine::new(2));
-        runner.trials = 2;
-        runner.epochs = 2;
-        serde_json::to_string_pretty(&runner.run(&cases)).unwrap()
-    };
-    let (run_on, stream_on, matrix_on) = (run_json(&cfg), stream_json(&cfg), matrix_json());
-    std::env::set_var("VIGIL_NO_ROUTE_CACHE", "1");
-    let (run_off, stream_off, matrix_off) = (run_json(&cfg), stream_json(&cfg), matrix_json());
-    std::env::remove_var("VIGIL_NO_ROUTE_CACHE");
-    assert_eq!(run_on, run_off, "cache leaked into the run report");
-    assert_eq!(stream_on, stream_off, "cache leaked into the stream report");
-    assert_eq!(matrix_on, matrix_off, "cache leaked into the matrix report");
 }
 
 #[test]

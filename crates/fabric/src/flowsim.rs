@@ -20,13 +20,11 @@ use crate::faults::LinkFaults;
 use crate::traffic::{FlowSpec, TrafficSpec};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::collections::BTreeSet;
 use vigil_packet::FiveTuple;
 use vigil_topology::{
-    ClosParams, ClosTopology, HostId, LinkId, LinkSet, Path, PathArena, PathId, RouteError,
-    RouteScratch, RouteTable, Routed,
+    ClosParams, ClosTopology, HostId, LinkId, LinkSet, Path, RouteDecision, RouteScratch,
+    RouteTable, Routed,
 };
 
 /// Dense flow index within one epoch.
@@ -70,9 +68,8 @@ pub struct FlowRecord {
     /// drops of retransmitted copies).
     pub retransmissions: u32,
     /// The actual path taken (ground truth; in the DES this is what
-    /// EverFlow would capture). Shared: every record on the same interned
-    /// path clones one `Arc` (serializes exactly like an owned `Path`).
-    pub path: Arc<Path>,
+    /// EverFlow would capture).
+    pub path: Path,
     /// Ground truth: drops per link on this flow's path (parallel to
     /// nothing — sparse pairs).
     pub drops_per_link: Vec<(LinkId, u32)>,
@@ -155,66 +152,12 @@ pub struct RouteCacheStats {
     pub table_misses: u64,
     /// Tables compiled (one per miss; kept explicit for the artifact).
     pub compiles: u64,
-    /// Per-flow routes resolved to an interned path without emitting it.
+    /// Always 0: every flow's path is emitted from the compiled table,
+    /// so there is no per-path memo to hit. Kept for readers of the
+    /// counters.
     pub path_hits: u64,
-    /// Per-flow routes that had to emit and intern their path once.
+    /// Always 0 (see [`path_hits`](Self::path_hits)).
     pub path_misses: u64,
-}
-
-/// Hasher for the packed [`vigil_topology::RouteDecision`] cache keys: a
-/// single value is hashed, so two splitmix rounds beat SipHash without
-/// giving up distribution (the keys are dense host/choice packings).
-#[derive(Debug, Clone, Copy, Default)]
-struct DecisionKeyHasher(u64);
-
-impl std::hash::Hasher for DecisionKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (unused by the u128 keys, kept total).
-        for &b in bytes {
-            self.0 = vigil_topology::splitmix64(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u128(&mut self, v: u128) {
-        let hi = vigil_topology::splitmix64((v >> 64) as u64);
-        self.0 = vigil_topology::splitmix64((v as u64) ^ hi.rotate_left(32));
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct DecisionKeyHash;
-
-impl std::hash::BuildHasher for DecisionKeyHash {
-    type Hasher = DecisionKeyHasher;
-
-    fn build_hasher(&self) -> DecisionKeyHasher {
-        DecisionKeyHasher::default()
-    }
-}
-
-/// One compiled routing plan plus its per-path memo: decision key →
-/// interned [`vigil_topology::PathId`]. The memo is what turns the
-/// per-flow hot path into "three tuple hashes and a map probe" — no
-/// topology walk, no link-slice hashing in the arena.
-#[derive(Debug, Clone)]
-struct CompiledPlan {
-    table: RouteTable,
-    paths: HashMap<u128, vigil_topology::PathId, DecisionKeyHash>,
-}
-
-/// Per-path drop parameters, valid for one epoch (`stamp` matches the
-/// cache's epoch counter): the aggregate per-packet drop probability and
-/// its log, computed once per (path, epoch) with the exact float-op
-/// order of the uncached path so reuse is bit-identical.
-#[derive(Debug, Clone, Copy, Default)]
-struct PathStats {
-    stamp: u64,
-    q: f64,
-    ln_survive: f64,
 }
 
 /// Worker-lifetime route-cache state. Compiled tables are keyed by the
@@ -225,58 +168,36 @@ struct PathStats {
 /// across epochs and across trial switches of the same parameters.
 /// ECMP seeds are read live at lookup time, so reseeds need no
 /// invalidation; a parameter change clears everything (link ids are
-/// only meaningful within one parameter set).
+/// only meaningful within one parameter set). The front table is the
+/// current epoch's.
 #[derive(Debug, Clone, Default)]
 struct RouteCache {
     params: Option<ClosParams>,
-    plans: Vec<CompiledPlan>,
-    stats: Vec<PathStats>,
+    plans: Vec<RouteTable>,
     down: LinkSet,
-    epoch_stamp: u64,
-    active: bool,
-    enabled_override: Option<bool>,
     counters: RouteCacheStats,
 }
 
 /// Compiled tables kept per scratch: enough for a maintenance timeline's
-/// alternating states plus a few trial-boundary stragglers.
+/// alternating states plus a few trial-boundary stragglers. With the
+/// one-path routing buffers, this bounds everything a scratch keeps
+/// across epochs.
 const MAX_CACHED_PLANS: usize = 8;
 
-/// `VIGIL_NO_ROUTE_CACHE=1` is the escape hatch that forces the legacy
-/// per-flow topology walk — CI byte-compares both modes. Read per epoch
-/// open (its cost is noise at that granularity), so tests can toggle it
-/// within one process.
-fn route_cache_disabled_by_env() -> bool {
-    std::env::var("VIGIL_NO_ROUTE_CACHE").is_ok_and(|v| v == "1")
-}
-
 /// Reusable per-epoch buffers for the simulator's hot path: routing
-/// scratch, the path-interning arena, the compiled route cache, and the
-/// per-flow rate/drop accumulators that used to be allocated fresh for
-/// every flow. One scratch serves a whole trial — or, with the pool's
+/// scratch, the compiled route cache, and the per-flow rate/drop
+/// accumulators. One scratch serves a whole trial — or, with the pool's
 /// worker-local reuse, many trials — and every epoch's output is
-/// byte-identical to the scratch-free path.
+/// byte-identical to the scratch-free path. Nothing per path or per
+/// flow outlives an epoch: the buffers are sized to one path, and at
+/// most `MAX_CACHED_PLANS` compiled tables are kept.
 #[derive(Debug, Clone, Default)]
 pub struct EpochScratch {
     route: RouteScratch,
-    arena: PathArena,
     rates: Vec<f64>,
     local_drops: Vec<u32>,
     drop_pairs: Vec<(LinkId, u32)>,
     cache: RouteCache,
-    /// Materialized [`Path`]s shared across every [`FlowRecord`] on the
-    /// same interned path (indexed by [`vigil_topology::PathId`]): the
-    /// warm epoch's record materialization clones an `Arc` instead of
-    /// re-allocating two `Vec`s per flow. Cleared with the arena.
-    shared: Vec<Option<Arc<Path>>>,
-}
-
-/// Returns the shared materialization of `id`, building it on first use.
-fn shared_path(arena: &PathArena, shared: &mut Vec<Option<Arc<Path>>>, id: PathId) -> Arc<Path> {
-    if id.index() >= shared.len() {
-        shared.resize(id.index() + 1, None);
-    }
-    Arc::clone(shared[id.index()].get_or_insert_with(|| Arc::new(arena.to_path(id))))
 }
 
 impl EpochScratch {
@@ -285,61 +206,25 @@ impl EpochScratch {
         Self::default()
     }
 
-    /// Distinct paths interned so far — the Clos path-diversity bound in
-    /// action (diagnostics / tests).
+    /// Always 0: paths are emitted per flow from the compiled table and
+    /// never interned. Kept for readers of the scratch's diagnostics.
     pub fn interned_paths(&self) -> usize {
-        self.arena.len()
+        0
     }
 
-    /// Cumulative route-cache counters (table reuse per epoch open,
-    /// path-memo hits per flow).
+    /// Cumulative route-cache counters (table reuse per epoch open).
     pub fn route_cache_stats(&self) -> RouteCacheStats {
         self.cache.counters
     }
 
-    /// Overrides the `VIGIL_NO_ROUTE_CACHE` gate for this scratch —
-    /// the in-process form of the escape hatch, used by the tests that
-    /// assert cached ≡ uncached bitwise.
-    pub fn set_route_cache(&mut self, enabled: bool) {
-        self.cache.enabled_override = Some(enabled);
-    }
-
-    /// Resets the interned-path arena and the compiled route cache.
-    /// Required at a topology-parameter boundary (link ids are only
-    /// meaningful within one parameter set); the epoch-open preparation
-    /// does this automatically when the parameters change.
-    pub fn clear(&mut self) {
-        self.arena.clear();
-        self.shared.clear();
-        self.cache.plans.clear();
-        self.cache.stats.clear();
-        self.cache.params = None;
-    }
-
-    /// Epoch-open preparation: stamps the epoch, derives the down-set
-    /// from `faults`, and compiles or reuses the matching [`RouteTable`].
-    /// Invalidation is purely by value — a timeline that flaps rates
-    /// without withdrawing links reuses one table for every epoch.
+    /// Epoch-open preparation: derives the down-set from `faults`, and
+    /// compiles or reuses the matching [`RouteTable`], moving it to the
+    /// front. Invalidation is purely by value — a timeline that flaps
+    /// rates without withdrawing links reuses one table for every epoch.
     fn prepare_route_cache(&mut self, topo: &ClosTopology, faults: &LinkFaults) {
-        let EpochScratch {
-            arena,
-            cache,
-            shared,
-            ..
-        } = self;
-        cache.epoch_stamp = cache.epoch_stamp.wrapping_add(1);
-        let enabled = cache
-            .enabled_override
-            .unwrap_or_else(|| !route_cache_disabled_by_env());
-        if !enabled {
-            cache.active = false;
-            return;
-        }
+        let cache = &mut self.cache;
         if cache.params != Some(*topo.params()) {
-            arena.clear();
-            shared.clear();
             cache.plans.clear();
-            cache.stats.clear();
             cache.params = Some(*topo.params());
         }
         cache.down.clear();
@@ -353,27 +238,29 @@ impl EpochScratch {
         let found = cache
             .plans
             .iter()
-            .position(|p| p.table.fingerprint() == fp && *p.table.down_set() == cache.down);
+            .position(|t| t.fingerprint() == fp && *t.down_set() == cache.down);
         match found {
             Some(pos) => {
                 cache.plans[..=pos].rotate_right(1);
                 cache.counters.table_hits += 1;
             }
             None => {
-                let table = RouteTable::compile(topo, &cache.down);
-                cache.plans.insert(
-                    0,
-                    CompiledPlan {
-                        table,
-                        paths: HashMap::default(),
-                    },
-                );
+                cache
+                    .plans
+                    .insert(0, RouteTable::compile(topo, &cache.down));
                 cache.plans.truncate(MAX_CACHED_PLANS);
                 cache.counters.table_misses += 1;
                 cache.counters.compiles += 1;
             }
         }
-        cache.active = true;
+    }
+
+    /// Re-emits a decision's path from the current table as an owned
+    /// [`Path`].
+    fn emit_path(&mut self, decision: &RouteDecision) -> Path {
+        let EpochScratch { route, cache, .. } = self;
+        cache.plans[0].emit_into(decision, route);
+        Path::new(route.nodes.clone(), route.links.clone())
     }
 }
 
@@ -435,30 +322,30 @@ pub fn simulate_flows_with<R: Rng + ?Sized>(
 }
 
 /// Column-level outcome of simulating one spec: everything a
-/// [`FlowRecord`] carries except the owned path (it stays interned in
-/// the arena) and the drop list (appended to a caller-provided pair
-/// buffer). The struct-of-arrays [`FlowBatch`] stores exactly these
-/// fields per flow; [`EpochStream::materialize`] turns a row back into
-/// a [`FlowRecord`] on demand.
+/// [`FlowRecord`] carries except the owned path (its compiled
+/// [`RouteDecision`] re-emits it on demand) and the drop list (appended
+/// to a caller-provided pair buffer). The struct-of-arrays [`FlowBatch`]
+/// stores exactly these fields per flow; [`EpochStream::materialize`]
+/// turns a row back into a [`FlowRecord`] on demand.
 #[derive(Debug, Clone, Copy)]
 struct RawFlow {
-    path: vigil_topology::PathId,
+    path: RouteDecision,
     retransmissions: u32,
     established: bool,
     completed: bool,
 }
 
-/// Simulates one spec end to end: route, intern, sample drops. The one
-/// per-flow step both the batch loop and the streaming pull path share —
+/// Simulates one spec end to end: route, sample drops. The one per-flow
+/// step both the batch loop and the streaming pull path share —
 /// factoring it here is what makes their RNG draw order identical by
 /// construction. Drop pairs are *appended* to `pairs_out` (the record
 /// path clears it per flow; the batch path accumulates CSR-style).
 ///
-/// With a prepared route cache the per-flow route is a compiled-table
-/// lookup plus a path-memo probe; without one (the
-/// `VIGIL_NO_ROUTE_CACHE` escape hatch) it is the legacy topology walk.
-/// Routing consumes no RNG draws in either mode, so both produce
-/// byte-identical output — CI compares them.
+/// The route is a compiled-table lookup whose path is emitted into the
+/// scratch's one-path buffers; routing consumes no RNG draws, and the
+/// table reproduces `route_filtered_into` exactly (property-tested in
+/// `vigil_topology`, and per flow over the scenario matrix in
+/// `vigil`'s `route_oracle` test).
 fn simulate_spec_raw<R: Rng + ?Sized>(
     topo: &ClosTopology,
     faults: &LinkFaults,
@@ -469,98 +356,27 @@ fn simulate_spec_raw<R: Rng + ?Sized>(
     pairs_out: &mut Vec<(LinkId, u32)>,
     drops_per_link: &mut [u64],
 ) -> RawFlow {
-    // Split borrows: routing writes `route`, interning owns `arena`, and
+    // Split borrows: routing writes `route` from the cached table, and
     // the drop sampler uses the flat accumulators — all disjoint.
     let EpochScratch {
         route,
-        arena,
         rates,
         local_drops,
         drop_pairs: _,
         cache,
-        shared: _,
     } = scratch;
-
-    if cache.active {
-        let RouteCache {
-            plans,
-            stats,
-            epoch_stamp,
-            counters,
-            ..
-        } = cache;
-        let plan = &mut plans[0];
-        let decision = match plan.table.lookup(topo, &spec.tuple, spec.src, spec.dst) {
-            Ok(d) => d,
-            Err(_) => panic!("traffic generator produced a same-host flow"),
-        };
-        let path = match plan.paths.entry(decision.cache_key()) {
-            Entry::Occupied(e) => {
-                counters.path_hits += 1;
-                *e.get()
-            }
-            Entry::Vacant(e) => {
-                counters.path_misses += 1;
-                plan.table.emit_into(&decision, route);
-                *e.insert(arena.intern(&route.nodes, &route.links))
-            }
-        };
-        return match decision.routed() {
-            Routed::Complete => {
-                let idx = path.index();
-                if stats.len() <= idx {
-                    stats.resize(idx + 1, PathStats::default());
-                }
-                let st = &mut stats[idx];
-                if st.stamp != *epoch_stamp {
-                    // First flow on this path this epoch: derive q and
-                    // ln(1 − q) with the exact float-op order of the
-                    // uncached path, then reuse the bits.
-                    rates.clear();
-                    rates.extend(arena.links(path).iter().map(|l| faults.rate(*l)));
-                    let survive_all: f64 = rates.iter().map(|r| 1.0 - r).product();
-                    *st = PathStats {
-                        stamp: *epoch_stamp,
-                        q: 1.0 - survive_all,
-                        ln_survive: survive_all.ln(),
-                    };
-                }
-                let precomputed = (st.q, st.ln_survive);
-                simulate_one_flow(
-                    spec,
-                    arena,
-                    path,
-                    Some(precomputed),
-                    faults,
-                    config,
-                    rng,
-                    drops_per_link,
-                    (rates, local_drops, pairs_out),
-                )
-            }
-            Routed::Blackholed => RawFlow {
-                path,
-                retransmissions: config.syn_attempts,
-                established: false,
-                completed: false,
-            },
-        };
-    }
-
-    match topo.route_filtered_into(
-        &spec.tuple,
-        spec.src,
-        spec.dst,
-        &|l| faults.is_down(l),
-        route,
-    ) {
-        Ok(Routed::Complete) => {
-            let path = arena.intern(&route.nodes, &route.links);
+    let table = &cache.plans[0];
+    let decision = match table.lookup(topo, &spec.tuple, spec.src, spec.dst) {
+        Ok(d) => d,
+        Err(_) => panic!("traffic generator produced a same-host flow"),
+    };
+    match decision.routed() {
+        Routed::Complete => {
+            table.emit_into(&decision, route);
             simulate_one_flow(
                 spec,
-                arena,
-                path,
-                None,
+                decision,
+                &route.links,
                 faults,
                 config,
                 rng,
@@ -568,24 +384,15 @@ fn simulate_spec_raw<R: Rng + ?Sized>(
                 (rates, local_drops, pairs_out),
             )
         }
-        Ok(Routed::Blackholed) => {
-            // Administratively unreachable: SYN dies in the void. No
-            // link "drops" it (the blackhole is a routing hole), the
-            // connection simply fails to establish.
-            let partial = arena.intern(&route.nodes, &route.links);
-            RawFlow {
-                path: partial,
-                retransmissions: config.syn_attempts,
-                established: false,
-                completed: false,
-            }
-        }
-        Err(RouteError::SameHost) => {
-            panic!("traffic generator produced a same-host flow")
-        }
-        Err(RouteError::Blackhole { .. }) => {
-            unreachable!("route_filtered_into reports blackholes as Ok(Routed::Blackholed)")
-        }
+        // Administratively unreachable: SYN dies in the void. No link
+        // "drops" it (the blackhole is a routing hole), the connection
+        // simply fails to establish.
+        Routed::Blackholed => RawFlow {
+            path: decision,
+            retransmissions: config.syn_attempts,
+            established: false,
+            completed: false,
+        },
     }
 }
 
@@ -621,7 +428,7 @@ fn simulate_spec<R: Rng + ?Sized>(
         tuple: spec.tuple,
         packets: spec.packets,
         retransmissions: raw.retransmissions,
-        path: shared_path(&scratch.arena, &mut scratch.shared, raw.path),
+        path: scratch.emit_path(&raw.path),
         drops_per_link: pairs.as_slice().to_vec(),
         established: raw.established,
         completed: raw.completed,
@@ -631,8 +438,9 @@ fn simulate_spec<R: Rng + ?Sized>(
 }
 
 /// Struct-of-arrays view of a chunk of simulated flows: the hot fields
-/// live in dense parallel columns, paths stay interned ([`vigil_topology::PathId`]s into
-/// the stream's arena), and drop pairs are CSR-packed. Consumers that
+/// live in dense parallel columns, paths stay compiled (one `Copy`
+/// [`RouteDecision`] per row, re-emitted from the stream's table), and
+/// drop pairs are CSR-packed. Consumers that
 /// only need to *scan* (did this flow retransmit? did it establish?)
 /// iterate columns without materializing a single [`FlowRecord`]; rows
 /// that matter are materialized on demand via
@@ -647,7 +455,7 @@ pub struct FlowBatch {
     retransmissions: Vec<u32>,
     established: Vec<bool>,
     completed: Vec<bool>,
-    path: Vec<vigil_topology::PathId>,
+    path: Vec<RouteDecision>,
     drop_starts: Vec<u32>,
     drop_pairs: Vec<(LinkId, u32)>,
 }
@@ -900,7 +708,7 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
             tuple: batch.tuple[i],
             packets: batch.packets[i],
             retransmissions: batch.retransmissions[i],
-            path: shared_path(&self.scratch.arena, &mut self.scratch.shared, batch.path[i]),
+            path: self.scratch.emit_path(&batch.path[i]),
             drops_per_link: batch.drops(i).to_vec(),
             established: batch.established[i],
             completed: batch.completed[i],
@@ -920,40 +728,26 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
 }
 
 /// Exact per-flow drop simulation with a one-draw fast path. The flow's
-/// path arrives interned and *stays* interned — the outcome is a
-/// [`RawFlow`] row; drop pairs are appended to `pairs_out`. The common
-/// zero-drop flow touches no heap at all.
-///
-/// `precomputed` carries the epoch-cached `(q, ln(1 − q))` pair from the
-/// route cache; `None` derives them from the per-link rates in place
-/// (the legacy order — the cached values are computed with the identical
-/// float-op sequence, so both modes agree bit for bit). The per-link
-/// rate vector itself is only needed once a drop actually occurs, so it
-/// is (re)filled lazily behind the first-drop check.
+/// path arrives as its link sequence, emitted into the scratch's route
+/// buffer; the outcome is a [`RawFlow`] row and drop pairs are appended
+/// to `pairs_out`. The common zero-drop flow touches no heap at all.
 #[allow(clippy::too_many_arguments)]
 fn simulate_one_flow<R: Rng + ?Sized>(
     spec: &FlowSpec,
-    arena: &PathArena,
-    path: vigil_topology::PathId,
-    precomputed: Option<(f64, f64)>,
+    path: RouteDecision,
+    links: &[LinkId],
     faults: &LinkFaults,
     config: &SimConfig,
     rng: &mut R,
     global_drops: &mut [u64],
     (rates, local, pairs_out): (&mut Vec<f64>, &mut Vec<u32>, &mut Vec<(LinkId, u32)>),
 ) -> RawFlow {
-    let links = arena.links(path);
     // The aggregate per-packet drop probability q = 1 − Π(1 − r_i) and
-    // ln(1 − q) — cached per (path, epoch), or derived here.
-    let (q, ln_survive) = match precomputed {
-        Some(pair) => pair,
-        None => {
-            rates.clear();
-            rates.extend(links.iter().map(|l| faults.rate(*l)));
-            let survive_all: f64 = rates.iter().map(|r| 1.0 - r).product();
-            (1.0 - survive_all, survive_all.ln()) // ln is −∞ when q = 1
-        }
-    };
+    // ln(1 − q); the per-link rates stay in `rates` for the samplers.
+    rates.clear();
+    rates.extend(links.iter().map(|l| faults.rate(*l)));
+    let survive_all: f64 = rates.iter().map(|r| 1.0 - r).product();
+    let (q, ln_survive) = (1.0 - survive_all, survive_all.ln()); // ln is −∞ when q = 1
 
     let mut record = RawFlow {
         path,
@@ -987,13 +781,11 @@ fn simulate_one_flow<R: Rng + ?Sized>(
     let mut pkt = geometric_gap(rng);
     if pkt >= spec.packets {
         // No first-transmission drop anywhere in the flow — the common
-        // case. Nothing downstream needs the per-link rates.
+        // case.
         return record;
     }
 
-    // A drop happened: the attribution samplers need the per-link rates.
-    rates.clear();
-    rates.extend(links.iter().map(|l| faults.rate(*l)));
+    // A drop happened: attribute it with the per-link rates.
     local.clear();
     local.resize(rates.len(), 0);
     let mut established = true;
@@ -1429,10 +1221,10 @@ mod tests {
             ),
             packets: 10,
             retransmissions: 4,
-            path: Arc::new(Path::new(
+            path: Path::new(
                 vec![vigil_topology::Node::Host(vigil_topology::HostId(0))],
                 vec![],
-            )),
+            ),
             drops_per_link: vec![(LinkId(7), 2), (LinkId(3), 2)],
             established: true,
             completed: true,

@@ -84,9 +84,9 @@ impl Csr {
 }
 
 /// The outcome of one compiled route lookup: the verdict plus the packed
-/// stage choices, enough to (a) key a path cache without hashing link
-/// sequences and (b) emit the exact node/link sequences on a cache miss
-/// via [`RouteTable::emit_into`].
+/// stage choices — a small `Copy` value from which
+/// [`RouteTable::emit_into`] re-emits the exact node/link sequences
+/// whenever they are needed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteDecision {
     src: HostId,
@@ -106,19 +106,6 @@ impl RouteDecision {
         } else {
             Routed::Blackholed
         }
-    }
-
-    /// A packed identity unique per distinct emitted path (for one
-    /// compiled table): endpoints, truncation tag, and the ECMP choices.
-    /// Two flows with equal keys route over byte-identical paths, so the
-    /// key indexes a `PathId` cache without ever hashing a link slice.
-    pub fn cache_key(&self) -> u128 {
-        u128::from(self.src.0)
-            | (u128::from(self.dst.0) << 32)
-            | (u128::from(self.tag) << 64)
-            | (u128::from(self.up_t1) << 72)
-            | (u128::from(self.t2) << 88)
-            | (u128::from(self.down_t1) << 104)
     }
 }
 
@@ -225,13 +212,6 @@ impl RouteTable {
         &self.params
     }
 
-    /// True when this table is valid for `(params, down)` — the whole
-    /// route structure is a function of exactly that pair (ECMP seeds
-    /// are read live, so reseeds never invalidate a table).
-    pub fn matches(&self, params: &ClosParams, down: &LinkSet) -> bool {
-        self.params == *params && self.down == *down
-    }
-
     /// Routes one flow through the compiled plan. Byte-equivalent to
     /// [`ClosTopology::route_filtered_into`] with the compiled down-set
     /// as the exclusion predicate: same completion/blackhole verdict,
@@ -329,8 +309,8 @@ impl RouteTable {
 
     /// Writes the node/link sequences of a decision's (possibly partial)
     /// path into `out` — byte-identical to what `route_filtered_into`
-    /// leaves in its scratch for the same flow. Pure id arithmetic; used
-    /// only on a path-cache miss.
+    /// leaves in its scratch for the same flow. Pure id arithmetic, cheap
+    /// enough to run per flow (and again when a record is materialized).
     pub fn emit_into(&self, d: &RouteDecision, out: &mut RouteScratch) {
         let npod = u32::from(self.params.npod);
         let n0 = u32::from(self.params.n0);
@@ -507,20 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_keys_on_params_and_down_set() {
-        let t = topo();
-        let mut down = LinkSet::new(t.num_links());
-        let table = RouteTable::compile(&t, &down);
-        assert!(table.matches(t.params(), &down));
-        down.insert(LinkId(7));
-        assert!(!table.matches(t.params(), &down));
-        let other = RouteTable::compile(&t, &down);
-        assert!(other.matches(t.params(), &down));
-        assert_ne!(other.fingerprint(), table.fingerprint());
-        assert!(!other.matches(&ClosParams::test_cluster(), &down));
-    }
-
-    #[test]
     fn fingerprint_is_order_insensitive_and_membership_keyed() {
         let a: LinkSet = [LinkId(3), LinkId(90)].into_iter().collect();
         let b: LinkSet = [LinkId(90), LinkId(3)].into_iter().collect();
@@ -535,21 +501,5 @@ mod tests {
         // A set containing only link 0 must not fingerprint to empty.
         let zero: LinkSet = [LinkId(0)].into_iter().collect();
         assert_ne!(RouteTable::fingerprint_of(&zero), 0);
-    }
-
-    #[test]
-    fn cache_keys_distinguish_truncation_points() {
-        let t = topo();
-        // Withdraw every uplink of host 0's ToR and host 1's downlink:
-        // flows from host 0 blackhole at the ToR; flows to host 1 on the
-        // same ToR blackhole there too, but with a different tag path.
-        let mut down = LinkSet::new(t.num_links());
-        down.insert(LinkId(0)); // host 0 uplink (2·host + 0)
-        let table = RouteTable::compile(&t, &down);
-        let d_host = table.lookup(&t, &tuple(9), HostId(0), HostId(9)).unwrap();
-        assert_eq!(d_host.routed(), Routed::Blackholed);
-        let d_ok = table.lookup(&t, &tuple(9), HostId(2), HostId(9)).unwrap();
-        assert_eq!(d_ok.routed(), Routed::Complete);
-        assert_ne!(d_host.cache_key(), d_ok.cache_key());
     }
 }

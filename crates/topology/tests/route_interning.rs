@@ -1,13 +1,12 @@
 //! Property tests for the allocation-free routing path: on random Clos
-//! sizes and random flows, `route_filtered_into` + `PathArena` interning
-//! must reproduce `route_filtered`'s owned-`Vec` output exactly — the
-//! hot-path refactor's no-behavior-change guarantee at the topology
-//! layer.
+//! sizes and random flows, `route_filtered_into`'s scratch buffers must
+//! reproduce `route_filtered`'s owned-`Vec` output exactly — complete
+//! paths and blackholed prefixes alike.
 
 use proptest::prelude::*;
 use vigil_packet::FiveTuple;
 use vigil_topology::{
-    ClosParams, ClosTopology, HostId, LinkId, PathArena, RouteError, RouteScratch, Routed,
+    ClosParams, ClosTopology, HostId, LinkId, Path, RouteError, RouteScratch, Routed,
 };
 
 /// A small random-but-valid Clos parameterization.
@@ -27,7 +26,6 @@ fn params_strategy() -> impl Strategy<Value = ClosParams> {
 fn assert_routes_agree(
     topo: &ClosTopology,
     scratch: &mut RouteScratch,
-    arena: &mut PathArena,
     src: HostId,
     dst: HostId,
     sport: u16,
@@ -36,18 +34,11 @@ fn assert_routes_agree(
     let tuple = FiveTuple::tcp(topo.host_ip(src), sport, topo.host_ip(dst), 443);
     let owned = topo.route_filtered(&tuple, src, dst, excluded);
     let into = topo.route_filtered_into(&tuple, src, dst, excluded, scratch);
+    let emitted = Path::new(scratch.nodes.clone(), scratch.links.clone());
     match (owned, into) {
-        (Ok(path), Ok(Routed::Complete)) => {
-            let id = arena.intern(&scratch.nodes, &scratch.links);
-            assert_eq!(arena.links(id), &path.links[..], "interned links differ");
-            assert_eq!(arena.nodes(id), &path.nodes[..], "interned nodes differ");
-            assert_eq!(arena.to_path(id), path, "materialized path differs");
-            // Interning the same path again must dedupe onto the same id.
-            assert_eq!(arena.intern(&path.nodes, &path.links), id);
-        }
+        (Ok(path), Ok(Routed::Complete)) => assert_eq!(emitted, path, "routed path differs"),
         (Err(RouteError::Blackhole { partial }), Ok(Routed::Blackholed)) => {
-            let id = arena.intern(&scratch.nodes, &scratch.links);
-            assert_eq!(arena.to_path(id), partial, "blackholed prefix differs");
+            assert_eq!(emitted, partial, "blackholed prefix differs")
         }
         (owned, into) => panic!("outcome mismatch: owned {owned:?} vs into {into:?}"),
     }
@@ -57,10 +48,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Unfiltered routing: every (src, dst, sport) draws the same path
-    /// through the scratch buffers as through the allocating API, and
-    /// the arena round-trips it.
+    /// through the scratch buffers as through the allocating API.
     #[test]
-    fn interned_routes_match_owned_routes(
+    fn scratch_routes_match_owned_routes(
         params in params_strategy(),
         seed in 0u64..1_000,
         flows in proptest::collection::vec((0u32..64, 0u32..64, 40_000u16..60_000), 1..20),
@@ -68,20 +58,19 @@ proptest! {
         let topo = ClosTopology::new(params, seed).expect("strategy yields valid params");
         let hosts = topo.num_hosts() as u32;
         let mut scratch = RouteScratch::new();
-        let mut arena = PathArena::new();
         for (a, b, sport) in flows {
             let (src, dst) = (HostId(a % hosts), HostId(b % hosts));
             if src == dst {
                 continue;
             }
-            assert_routes_agree(&topo, &mut scratch, &mut arena, src, dst, sport, &|_| false);
+            assert_routes_agree(&topo, &mut scratch, src, dst, sport, &|_| false);
         }
     }
 
     /// Filtered routing: random link exclusions (including blackholes)
     /// produce identical complete/partial paths through both APIs.
     #[test]
-    fn interned_routes_match_under_exclusions(
+    fn scratch_routes_match_under_exclusions(
         params in params_strategy(),
         seed in 0u64..1_000,
         dead_stride in 2u32..7,
@@ -94,13 +83,12 @@ proptest! {
         // blackholes across the drawn topologies.
         let excluded = move |l: LinkId| l.0 % dead_stride == 0;
         let mut scratch = RouteScratch::new();
-        let mut arena = PathArena::new();
         for (a, b, sport) in flows {
             let (src, dst) = (HostId(a % hosts), HostId(b % hosts));
             if src == dst {
                 continue;
             }
-            assert_routes_agree(&topo, &mut scratch, &mut arena, src, dst, sport, &excluded);
+            assert_routes_agree(&topo, &mut scratch, src, dst, sport, &excluded);
         }
     }
 }

@@ -2,14 +2,15 @@
 //! random exclusion sets, [`RouteTable::lookup`] + [`RouteTable::emit_into`]
 //! must reproduce a fresh `route_filtered_into` walk exactly — same
 //! complete/blackhole verdicts, same node and link sequences (including
-//! partial prefixes), same arena ids after interning. This is the
-//! route-cache PR's no-behavior-change guarantee at the topology layer.
+//! partial prefixes). This is the random-topology oracle for the
+//! simulator's one routing path: the fabric routes every flow through
+//! the compiled table, and `route_filtered_into` survives as the
+//! reference it is checked against.
 
 use proptest::prelude::*;
 use vigil_packet::FiveTuple;
 use vigil_topology::{
-    ClosParams, ClosTopology, HostId, LinkId, LinkSet, PathArena, RouteError, RouteScratch,
-    RouteTable, Routed,
+    ClosParams, ClosTopology, HostId, LinkId, LinkSet, RouteError, RouteScratch, RouteTable,
 };
 
 /// A small random-but-valid Clos parameterization (single-pod fabrics
@@ -32,7 +33,6 @@ fn assert_table_matches_walk(
     topo: &ClosTopology,
     table: &RouteTable,
     down: &LinkSet,
-    arena: &mut PathArena,
     src: HostId,
     dst: HostId,
     sport: u16,
@@ -53,11 +53,6 @@ fn assert_table_matches_walk(
             );
             assert_eq!(emitted.nodes, walk.nodes, "node sequence mismatch");
             assert_eq!(emitted.links, walk.links, "link sequence mismatch");
-            // Interning both emissions must land on one arena id — the
-            // path-memo's dedup invariant.
-            let a = arena.intern(&walk.nodes, &walk.links);
-            let b = arena.intern(&emitted.nodes, &emitted.links);
-            assert_eq!(a, b, "table emission interns onto a different id");
         }
         Err(RouteError::SameHost) => {
             assert!(
@@ -84,10 +79,9 @@ proptest! {
         let hosts = topo.num_hosts() as u32;
         let down = LinkSet::new(topo.num_links());
         let table = RouteTable::compile(&topo, &down);
-        let mut arena = PathArena::new();
         for (a, b, sport) in flows {
             let (src, dst) = (HostId(a % hosts), HostId(b % hosts));
-            assert_table_matches_walk(&topo, &table, &down, &mut arena, src, dst, sport);
+            assert_table_matches_walk(&topo, &table, &down, src, dst, sport);
         }
     }
 
@@ -110,18 +104,18 @@ proptest! {
             .map(LinkId)
             .collect();
         let table = RouteTable::compile(&topo, &down);
-        let mut arena = PathArena::new();
         for (a, b, sport) in flows {
             let (src, dst) = (HostId(a % hosts), HostId(b % hosts));
-            assert_table_matches_walk(&topo, &table, &down, &mut arena, src, dst, sport);
+            assert_table_matches_walk(&topo, &table, &down, src, dst, sport);
         }
     }
 
     /// The fingerprint keys tables by membership: any permutation of the
-    /// same down-set fingerprints identically, and compiled tables match
-    /// exactly the `(params, down)` pair they were built for.
+    /// same down-set fingerprints identically, a compiled table carries
+    /// exactly the `(params, down)` pair it was built for, and one more
+    /// down link changes the fingerprint.
     #[test]
-    fn fingerprint_and_matches_key_by_down_set(
+    fn fingerprint_keys_tables_by_down_set(
         params in params_strategy(),
         seed in 0u64..1_000,
         dead_stride in 2u32..7,
@@ -141,11 +135,13 @@ proptest! {
             RouteTable::fingerprint_of(&reversed)
         );
         let table = RouteTable::compile(&topo, &down);
-        prop_assert!(table.matches(topo.params(), &down));
+        prop_assert_eq!(table.params(), topo.params());
+        prop_assert_eq!(table.down_set(), &down);
+        prop_assert_eq!(table.fingerprint(), RouteTable::fingerprint_of(&down));
         let mut shifted = down.clone();
         shifted.insert(LinkId(topo.num_links() as u32 - 1));
         if shifted.len() != down.len() {
-            prop_assert!(!table.matches(topo.params(), &shifted));
+            prop_assert_ne!(table.down_set(), &shifted);
             prop_assert_ne!(
                 RouteTable::fingerprint_of(&down),
                 RouteTable::fingerprint_of(&shifted)
